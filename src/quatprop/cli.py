@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,14 +42,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _check_finite(values, text, what):
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{what} has a non-finite value in {text!r}")
+    return values
+
+
 def _parse_floats(text, count, what):
     parts = text.split(",")
     if len(parts) != count:
         raise UsageError(f"{what} needs {count} comma-separated values, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"{what} has a non-numeric value in {text!r}") from None
+    return _check_finite(values, text, what)
 
 
 def _parse_axis(text, what):
@@ -66,9 +74,11 @@ def _parse_complex(text, what):
     if len(parts) != 2:
         raise UsageError(f"{what} must be 're' or 're,im', got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        values = [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"{what} has a non-numeric value in {text!r}") from None
+    real, imag = _check_finite(values, text, what)
+    return complex(real, imag)
 
 
 def _parse_unit_quaternion(text, what):
@@ -154,6 +164,10 @@ def _read_csv(path):
 # subcommands
 
 def cmd_generate(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     basis = _basis_from_args(args)
     params = _params_from_args(args, basis)
     try:
@@ -170,6 +184,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if not math.isfinite(args.c) or args.c <= 0.0:
+        raise UsageError(f"--c must be positive and finite, got {args.c!r}")
     data = _read_csv(args.input)
     basis = _basis_from_args(args)
     try:

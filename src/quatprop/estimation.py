@@ -1,6 +1,10 @@
 """Estimation of complementary covariances from samples, covariance-face
 reconstruction, and classification of the symmetry class via rotation
 residuals of the sample covariance.
+
+Every estimate is a fixed linear function of one statistic, the 4x4 second
+moment S = X^T X / n of the component rows: sigma2 = tr S and
+gamma_r = sum_ab S_ab e_a (e_b^mu_r)*, with e_a the standard units.
 """
 
 from __future__ import annotations
@@ -11,16 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray
-from .core import ONE, Quaternion, QuaternionBasis, restrict
-from .gaussian import (CovarianceR, PropernessTag, convert,
+from .core import ONE, Quaternion, QuaternionBasis
+from .gaussian import (CovarianceR, PropernessTag, convert, involution_stack,
                        quaternion_face_from_gammas)
 from .rotations import double_rotation
-
-# structural subspace of each complementary covariance: the component along
-# the involution's own axis is identically zero
-_STRUCTURAL_MASKS = {1: frozenset({0, 2, 3}),
-                     2: frozenset({0, 1, 3}),
-                     3: frozenset({0, 1, 2})}
 
 
 def _as_rows(samples) -> np.ndarray:
@@ -47,9 +45,30 @@ class ComplementaryCovariances:
         return (self.gamma1, self.gamma2, self.gamma3)
 
 
+def _moments(x: np.ndarray, basis: QuaternionBasis, center: bool):
+    """The second moment S = X^T X / n of the (optionally mean-centred) rows,
+    and sigma2 = tr S, gamma_r = sum_ab S_ab e_a (e_b^mu_r)* derived from it.
+
+    The component of gamma_r along mu_r has an antisymmetric coefficient
+    matrix, so it cancels against the symmetric S up to roundoff.
+    """
+    n = x.shape[0]
+    if center:
+        x = x - x.mean(axis=0)
+    s = (x.T @ x) / n
+    coeffs = qarray.mul(np.eye(4)[None, :, None, :],
+                        qarray.conj(involution_stack(basis)[1:, None, :, :]))
+    gammas = np.einsum("ab,rabc->rc", s, coeffs)
+    cc = ComplementaryCovariances(float(np.trace(s)),
+                                  *(Quaternion.from_vec(g) for g in gammas),
+                                  basis, n)
+    return s, cc
+
+
 def complementary_covariances(samples, basis: QuaternionBasis,
                               center: bool = False) -> ComplementaryCovariances:
-    """Estimate the complementary covariances of a sample.
+    """Estimate the complementary covariances of a sample from its second
+    moment S (see the module docstring).
 
     Variables are treated as centred by construction; pass center=True to
     subtract the sample mean first (real data).
@@ -58,38 +77,23 @@ def complementary_covariances(samples, basis: QuaternionBasis,
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples")
-    if center:
-        x = x - x.mean(axis=0)
-    sigma2 = float(np.mean(np.sum(x * x, axis=1)))
-    gammas = []
-    for mu in basis.axes:
-        y = qarray.involution(x, mu.to_vec())
-        g = np.mean(qarray.mul(x, qarray.conj(y)), axis=0)
-        gammas.append(Quaternion.from_vec(g))
-    return ComplementaryCovariances(sigma2, gammas[0], gammas[1], gammas[2],
-                                    basis, n)
+    return _moments(x, basis, center)[1]
 
 
 def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
     """Reconstruct (quaternion, complex, real) covariance faces from samples.
 
-    The quaternion face is assembled from the estimated complementary
-    covariances (projected onto their structural subspaces); the real face is
-    the plain sample covariance of the components; the complex face follows
-    from the quaternion face.
+    All three come from the second moment S: the real face is S itself, the
+    quaternion face is assembled from sigma2 and gamma1..3 of S, and the
+    complex face follows from the quaternion face.
     """
     x = _as_rows(samples)
     n = x.shape[0]
     if n < 5:
         raise ValueError("need at least 5 samples")
-    cc = complementary_covariances(x, basis, center=center)
-    g1, g2, g3 = (restrict(g, _STRUCTURAL_MASKS[idx], basis)
-                  for idx, g in ((1, cc.gamma1), (2, cc.gamma2), (3, cc.gamma3)))
-    gh = quaternion_face_from_gammas(cc.sigma2, g1, g2, g3, basis)
-    xc = x - x.mean(axis=0) if center else x
-    gr = CovarianceR((xc.T @ xc) / n, basis)
-    gc = convert(gh, "complex")
-    return gh, gc, gr
+    s, cc = _moments(x, basis, center)
+    gh = quaternion_face_from_gammas(cc.sigma2, *cc.gammas, basis)
+    return gh, convert(gh, "complex"), CovarianceR(s, basis)
 
 
 def symmetry_residual(cov: CovarianceR, u: Quaternion, v: Quaternion) -> float:
@@ -177,19 +181,18 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
     plus the fully rotation-invariant hypothesis that every complementary
     covariance vanishes. Residuals are per-entry defects relative to the
     estimated total variance, so one c/sqrt(n) threshold covers both the
-    rotation tests and the vanishing-covariance test.
+    rotation tests and the vanishing-covariance test. All residuals come
+    from the second moment S.
     """
+    if not math.isfinite(c) or c <= 0.0:
+        raise ValueError(f"c must be positive and finite, got {c!r}")
     x = _as_rows(samples)
     n = x.shape[0]
     if n < 100:
         raise ValueError("need at least 100 samples to classify")
-    cc = complementary_covariances(x, basis, center=center)
+    s, cc = _moments(x, basis, center)
     if cc.sigma2 <= 0.0:
         raise ValueError("degenerate covariance: zero total variance")
-    xc = x - x.mean(axis=0) if center else x
-    gr = CovarianceR((xc.T @ xc) / n, basis)
-    if float(np.linalg.norm(gr.matrix)) == 0.0:
-        raise ValueError("degenerate covariance: zero sample covariance")
     tol = c / math.sqrt(n)
 
     h_resid = max(g.modulus() for g in cc.gammas) / cc.sigma2
@@ -197,7 +200,7 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
 
     def rot_residual(u, v):
         m = double_rotation(u, v).matrix
-        defect = m @ gr.matrix @ m.T - gr.matrix
+        defect = m @ s @ m.T - s
         return float(np.abs(defect).max() / cc.sigma2)
 
     tier_top = [Candidate(PropernessTag.H_PROPER, (), h_resid)]

@@ -492,7 +492,16 @@ def read_sample_csv(path) -> np.ndarray:
                 raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
     if not rows:
         raise ValueError("no sample rows found")
-    return np.array(rows)
+    data = np.array(rows)
+    if not np.isfinite(data).all():
+        # the line number is looked up only on this failure path
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if lineno > 1 and line and not np.isfinite(
+                        [float(p) for p in line.split(",")]).all():
+                    raise ValueError(f"line {lineno}: non-finite field in {line!r}")
+    return data
 
 
 def sample(cov: CovarianceR, n: int, seed: int, basis=None,
@@ -526,13 +535,18 @@ def sample(cov: CovarianceR, n: int, seed: int, basis=None,
 
 def gaussian_pdf(q, cov: CovarianceR):
     """Density of the centred 4-variate normal with the given covariance,
-    evaluated at a Quaternion or an (..., 4) array of component vectors."""
+    evaluated at a Quaternion or an (..., 4) array of component vectors.
+
+    One eigendecomposition g = V diag(w) V^T serves every row: the quadratic
+    form is |x V diag(w)^-1/2|^2 and the normaliser comes from prod(w).
+    """
     g = (cov.matrix + cov.matrix.T) / 2.0
-    w = np.linalg.eigvalsh(g)
+    w, v = np.linalg.eigh(g)
     if w.min() <= 0.0:
         raise ValueError(f"covariance is singular: min eigenvalue {w.min():.6e}")
     x = q.to_vec() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
-    quad = np.einsum("...i,...i->...", x, np.linalg.solve(g, x[..., None])[..., 0])
+    y = x @ (v / np.sqrt(w))
+    quad = np.einsum("...i,...i->...", y, y)
     norm = 1.0 / (_TWO_PI_SQ * np.sqrt(np.prod(w)))
     out = norm * np.exp(-0.5 * quad)
     return float(out) if out.ndim == 0 else out
@@ -546,20 +560,18 @@ def pdf_1mu_proper(q: Quaternion, sigma2: float, gamma_1j: Quaternion,
     sigma2 is the total variance E[|q|^2]; gamma_1j = E[q (q^mu2)*] is the one
     complementary covariance the class retains, and must have no mu2
     component. The quadratic form is evaluated with quaternion products only;
-    the normalisation constant comes from the real-face determinant.
+    the real-face covariance has eigenvalues (sigma2 +- |gamma_1j|)/4, each
+    twice, so the square root of its determinant is
+    (sigma2^2 - |gamma_1j|^2)/16.
     """
     nu = basis.mu2
     if abs(basis.to_coords(gamma_1j)[2]) > 1e-9:
         raise ValueError("gamma_1j must have no component along the properness axis")
+    if not sigma2 > 0.0:
+        raise ValueError(f"degenerate parameters: sigma2 = {sigma2:.6e}")
     denom = sigma2 * sigma2 - gamma_1j.modulus2()
-    if denom <= 0.0:
+    if not denom > 0.0:
         raise ValueError(f"degenerate parameters: sigma2^2 - |gamma|^2 = {denom:.6e}")
-    zero = Quaternion(0.0, 0.0, 0.0, 0.0)
-    gh = quaternion_face_from_gammas(sigma2, zero, gamma_1j, zero, basis)
-    gr = _quaternion_to_real(gh.matrix, basis)
-    w = np.linalg.eigvalsh(gr)
-    if w.min() <= 0.0:
-        raise ValueError(f"degenerate parameters: min eigenvalue {w.min():.6e}")
     cross = (q.conj() * gamma_1j * q.involution(nu)).a
     kernel = -(2.0 * sigma2 * q.modulus2() - 2.0 * cross) / denom
-    return float(np.exp(kernel) / (_TWO_PI_SQ * np.sqrt(np.prod(w))))
+    return float(np.exp(kernel) * 16.0 / (_TWO_PI_SQ * denom))

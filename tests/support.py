@@ -5,7 +5,7 @@ import numpy as np
 
 from quatprop import (GeneralParams, HProperParams, MuMuParams, MuOneParams,
                       MuSameParams, OneMuParams, PureUnit, Quaternion,
-                      STANDARD_BASIS, validate_basis)
+                      STANDARD_BASIS, qarray, validate_basis)
 
 
 def rand_quaternion(rng, scale=1.0):
@@ -66,6 +66,23 @@ def defining_rotations(tag, basis):
         "hproper": [],
         "general": [],
     }[tag]
+
+
+def per_sample_moments(x, basis, center=False):
+    """Reference estimator by the per-sample definition: sigma2 = mean |q|^2
+    and gamma_r = mean q (q^mu_r)*, one Hamilton product per row.
+
+    The package derives the same quantities from the second-moment matrix;
+    this is the definition they must agree with.
+    """
+    x = np.asarray(x, dtype=float)
+    if center:
+        x = x - x.mean(axis=0)
+    sigma2 = float(np.mean(np.sum(x * x, axis=1)))
+    gammas = [Quaternion.from_vec(np.mean(
+        qarray.mul(x, qarray.conj(qarray.involution(x, mu.to_vec()))), axis=0))
+        for mu in basis.axes]
+    return sigma2, gammas
 
 
 def cov_r_from_pair_moments(c11, c22, c12, p11, p22, p12, basis=STANDARD_BASIS):

@@ -95,6 +95,18 @@ def test_generate_structural_zero_violation(tmp_path, capsys):
     assert "gamma1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("n", "0"), ("seed", "-1"),
+                                         ("sigma2", "nan")])
+def test_generate_bad_value_is_one_line_usage_error(flag, value, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = run_cli(*gen_args(out, **{flag: None}), f"--{flag}={value}")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert f"--{flag}" in err
+    assert not out.exists()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run_cli("generate", "--class", "mumu", "--frobnicate", "1") == 1
 
@@ -122,6 +134,32 @@ def test_classify_malformed_csv_names_line(tmp_path, capsys):
     path.write_text("a,b,c,d\n1,2,3,4\noops\n")
     assert run_cli("classify", str(path)) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_classify_non_finite_field_is_data_error(tmp_path, capsys):
+    path = tmp_path / "draws.csv"
+    run_cli(*gen_args(path, n="500"))
+    lines = path.read_text().splitlines()
+    fields = lines[321].split(",")
+    fields[2] = "nan"
+    lines[321] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("classify", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 322: non-finite field" in captured.err
+
+
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_classify_bad_c_is_usage_error(c, tmp_path, capsys):
+    path = tmp_path / "draws.csv"
+    run_cli(*gen_args(path, n="500"))
+    capsys.readouterr()
+    assert run_cli("classify", str(path), f"--c={c}") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --c")
 
 
 def test_classify_missing_file_is_data_error(tmp_path, capsys):

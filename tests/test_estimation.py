@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatprop import (ONE, I, J, K, Candidate, CovarianceR, HProperParams,
                       MuMuParams, PropernessReport, PropernessTag, Quaternion,
@@ -8,8 +10,10 @@ from quatprop import (ONE, I, J, K, Candidate, CovarianceR, HProperParams,
                       sample, symmetry_residual, validate_basis,
                       via_class_alias)
 from quatprop.estimation import ComplementaryCovariances, axis_name
+from quatprop.gaussian import quaternion_face_from_gammas
 
-from support import all_class_params, defining_rotations, general_params, rand_basis
+from support import (all_class_params, defining_rotations, general_params,
+                     per_sample_moments, rand_basis)
 
 
 def test_two_real_unit_draws():
@@ -105,6 +109,30 @@ def test_assembled_face_agrees_with_converted_sample_covariance():
         assert np.max(np.abs(gh.matrix - gh2.matrix)) < 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_second_moment_estimates_match_per_sample_definition(seed, center):
+    rng = np.random.default_rng(seed)
+    basis = rand_basis(rng)
+    n = int(rng.integers(5, 400))
+    data = rng.normal(size=(n, 4)) @ rng.normal(size=(4, 4)) + rng.normal(size=4)
+    sigma2, gammas = per_sample_moments(data, basis, center=center)
+    tol = 1e-12 * sigma2
+
+    cc = complementary_covariances(data, basis, center=center)
+    assert abs(cc.sigma2 - sigma2) <= tol
+    for got, want in zip(cc.gammas, gammas):
+        assert np.max(np.abs(got.to_vec() - want.to_vec())) <= tol
+
+    gh, gc, gr = covariance_faces(data, basis, center=center)
+    want_h = quaternion_face_from_gammas(sigma2, *gammas, basis)
+    xc = data - data.mean(axis=0) if center else data
+    want_r = np.einsum("ni,nj->ij", xc, xc) / n
+    assert np.max(np.abs(gh.matrix - want_h.matrix)) <= tol
+    assert np.max(np.abs(gc.matrix - convert(want_h, "complex").matrix)) <= tol
+    assert np.max(np.abs(gr.matrix - want_r)) <= tol
+
+
 # --- symmetry residual -------------------------------------------------------
 
 def test_symmetry_residual_identity_rotation_is_zero():
@@ -142,6 +170,13 @@ def test_classify_needs_hundred_samples():
 def test_classify_constant_data_is_degenerate():
     with pytest.raises(ValueError, match="degenerate"):
         classify(np.zeros((200, 4)), STANDARD_BASIS)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+def test_classify_rejects_bad_tolerance_constant(c):
+    data = np.random.default_rng(9).normal(size=(200, 4))
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        classify(data, STANDARD_BASIS, c=c)
 
 
 @pytest.mark.parametrize("tag", ["hproper", "mumu", "muone", "onemu",

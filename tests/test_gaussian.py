@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatprop import (ONE, I, J, K, CovarianceC, CovarianceH, CovarianceR,
                       GeneralParams, HProperParams, MuMuParams, MuOneParams,
@@ -302,6 +304,18 @@ def test_gaussian_pdf_integrates_to_one():
     assert abs(total - 1.0) < 1e-2
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_gaussian_pdf_rows_match_single_quaternion_calls(seed):
+    rng = np.random.default_rng(seed)
+    cov = _random_cov_r(rng)
+    rows = rng.normal(scale=rng.uniform(0.1, 2.0), size=(int(rng.integers(1, 50)), 4))
+    batch = gaussian_pdf(rows, cov)
+    single = np.array([gaussian_pdf(Quaternion.from_vec(r), cov) for r in rows])
+    assert batch.shape == (len(rows),)
+    assert np.max(np.abs(batch - single) / single) <= 1e-12
+
+
 def test_gaussian_pdf_rejects_singular():
     with pytest.raises(ValueError):
         gaussian_pdf(Quaternion(0, 0, 0, 0), CovarianceR(np.diag([1, 1, 1, 0.0])))
@@ -371,6 +385,8 @@ def test_pdf_1mu_proper_rejects_bad_inputs():
         pdf_1mu_proper(Quaternion(1, 0, 0, 0), 1.0, Quaternion(0, 0, 0.5, 0))
     with pytest.raises(ValueError, match="degenerate"):
         pdf_1mu_proper(Quaternion(1, 0, 0, 0), 1.0, Quaternion(1.5, 0, 0, 0))
+    with pytest.raises(ValueError, match="degenerate"):
+        pdf_1mu_proper(Quaternion(1, 0, 0, 0), -1.0, Quaternion(0, 0, 0, 0))
 
 
 # --- serialization -----------------------------------------------------------

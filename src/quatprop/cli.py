@@ -191,8 +191,9 @@ def cmd_classify(args) -> int:
     try:
         report = estimation.classify(data, basis, c=args.c, center=args.center)
     except ValueError as exc:
-        raise DataError(f"degenerate covariance: {exc}") from None
-    json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)
+        raise DataError(str(exc)) from None
+    json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True,
+              allow_nan=False)
     sys.stdout.write("\n")
     return 0
 

@@ -122,7 +122,10 @@ class Candidate:
         return tuple(basis.axes[i] for i in self.axis_indices)
 
     def label(self, basis: QuaternionBasis) -> str:
-        names = ",".join(axis_name(a) for a in self.axes(basis))
+        return self._label([axis_name(a) for a in basis.axes])
+
+    def _label(self, axis_names) -> str:
+        names = ",".join(axis_names[i] for i in self.axis_indices)
         return f"{self.tag.value}({names})" if names else self.tag.value
 
 
@@ -139,10 +142,12 @@ class PropernessReport:
     complementary: ComplementaryCovariances
 
     def to_dict(self):
+        axis_names = [axis_name(a) for a in self.basis.axes]
+
         def cand_dict(cand):
             return {"class": cand.tag.value,
                     "axes": [list(a.axis_vec()) for a in cand.axes(self.basis)],
-                    "label": cand.label(self.basis),
+                    "label": cand._label(axis_names),
                     "residual": cand.residual}
 
         return {
@@ -157,13 +162,17 @@ class PropernessReport:
 
 def axis_name(mu: Quaternion) -> str:
     """Short name of an axis: i, j, k (or their negatives) when it is one of
-    the standard axes, otherwise its 3-vector."""
-    vec = np.array([mu.b, mu.c, mu.d])
-    for name, unit in (("i", [1, 0, 0]), ("j", [0, 1, 0]), ("k", [0, 0, 1])):
-        if np.allclose(vec, unit, atol=1e-9):
-            return name
-        if np.allclose(vec, np.negative(unit), atol=1e-9):
-            return "-" + name
+    the standard axes, otherwise its 3-vector.
+
+    An axis matches a unit vector u when |v - u| <= 1e-9 + 1e-5 |u| for every
+    component, the rule of np.allclose(v, u, atol=1e-9).
+    """
+    vec = (mu.b, mu.c, mu.d)
+    for axis, name in enumerate("ijk"):
+        for sign, prefix in ((1.0, ""), (-1.0, "-")):
+            unit = [sign if a == axis else 0.0 for a in range(3)]
+            if all(abs(v - u) <= 1e-9 + 1e-5 * abs(u) for v, u in zip(vec, unit)):
+                return prefix + name
     return "(" + ",".join(format(v, ".3g") for v in vec) + ")"
 
 
@@ -172,6 +181,10 @@ def axis_name(mu: Quaternion) -> str:
 _TIER_MU_PAIRS = [(i, j) for i in range(3) for j in range(3) if i != j]
 
 
+# Finite but huge sample values can overflow S or |gamma|^2. The overflow
+# reaches the caller as one ValueError (see the end of classify), not as
+# numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def classify(samples, basis: QuaternionBasis, c: float = 5.0,
              center: bool = False) -> PropernessReport:
     """Classify the symmetry class of a sample at tolerance c/sqrt(n).
@@ -182,7 +195,8 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
     covariance vanishes. Residuals are per-entry defects relative to the
     estimated total variance, so one c/sqrt(n) threshold covers both the
     rotation tests and the vanishing-covariance test. All residuals come
-    from the second moment S.
+    from the second moment S; a ValueError is raised when S, the total
+    variance or a residual is not finite.
     """
     if not math.isfinite(c) or c <= 0.0:
         raise ValueError(f"c must be positive and finite, got {c!r}")
@@ -228,6 +242,9 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
             break
 
     candidates = tuple(tier_top + tier_pair + tier_single + [fallback])
+    if not (np.isfinite(s).all() and math.isfinite(cc.sigma2)
+            and all(math.isfinite(cand.residual) for cand in candidates)):
+        raise ValueError("second moments are not finite: sample values too large")
     return PropernessReport(candidates, chosen, tol, n, basis, cc)
 
 

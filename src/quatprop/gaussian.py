@@ -19,6 +19,8 @@ constraints and converted exactly onto the other faces.
 from __future__ import annotations
 
 import json
+import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, NamedTuple, Optional
@@ -464,44 +466,102 @@ class SampleSet:
                 fh.write("\n")
 
 
+# Rows formatted by one string operation in write_sample_csv; a fixed block
+# keeps the writer's memory constant in the number of rows.
+_CSV_BLOCK_ROWS = 1024
+
+# Characters on which np.loadtxt and float() agree field by field (the text
+# layer has already turned CR and CRLF into LF). Other text, for instance
+# "1\x1c", which loadtxt reads as 1 and float() rejects, goes to the
+# line-by-line scan, so the scan alone decides what is accepted.
+_CSV_PLAIN_BYTES = b"0123456789+-.eE,\n \t"
+
+
 def write_sample_csv(path, rows: np.ndarray, header: str = "a,b,c,d"):
-    """CSV with full double precision and LF line endings."""
+    """CSV with the given header, every value as "%.17g" (17 significant
+    digits, which read back exactly) and LF line endings."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row in np.asarray(rows, dtype=float):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def read_sample_csv(path) -> np.ndarray:
-    """Read a sample CSV, reporting the 1-based line number of a bad row."""
-    rows = []
+    """Read a sample CSV, reporting the 1-based line number of a bad row.
+
+    Plain numeric text is parsed by np.loadtxt; anything else, and any result
+    that is not (n >= 1, 4) and finite, is left to the line-by-line scan,
+    which defines what is accepted and every error message.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "a,b,c,d":
             raise ValueError(f"line 1: expected header 'a,b,c,d', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        if _plain_text(fh):
+            _rewind_past_header(fh)
             try:
-                rows.append([float(p) for p in parts])
+                with warnings.catch_warnings():
+                    # a file without rows warns here; the scan reports it
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
             except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
+                data = None
+            if (data is not None and data.shape[0] >= 1 and data.shape[1] == 4
+                    and np.isfinite(data).all()):
+                return data
+        _rewind_past_header(fh)
+        return _scan_sample_rows(fh)
+
+
+def _plain_text(fh) -> bool:
+    """Whether the rest of fh decodes and holds only _CSV_PLAIN_BYTES."""
+    try:
+        for chunk in iter(lambda: fh.read(1 << 16), ""):
+            if not chunk.isascii() or chunk.encode("ascii").translate(None, _CSV_PLAIN_BYTES):
+                return False
+    except UnicodeDecodeError:  # the scan reports it
+        return False
+    return True
+
+
+def _rewind_past_header(fh):
+    # from the top, so the scan's decoding errors name the same buffer
+    # offsets as one pass through the file
+    fh.seek(0)
+    fh.readline()
+
+
+def _scan_sample_rows(lines) -> np.ndarray:
+    """Parse sample rows that follow the header (line 1) one line at a time.
+
+    Blank lines are skipped. A wrong field count or a field float() rejects
+    is reported at its line; a nan or inf field is reported at the first line
+    holding one, once the whole file has parsed.
+    """
+    rows = []
+    non_finite = None
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
+        if non_finite is None and not all(map(math.isfinite, row)):
+            non_finite = f"line {lineno}: non-finite field in {line!r}"
+        rows.append(row)
     if not rows:
         raise ValueError("no sample rows found")
-    data = np.array(rows)
-    if not np.isfinite(data).all():
-        # the line number is looked up only on this failure path
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if lineno > 1 and line and not np.isfinite(
-                        [float(p) for p in line.split(",")]).all():
-                    raise ValueError(f"line {lineno}: non-finite field in {line!r}")
-    return data
+    if non_finite is not None:
+        raise ValueError(non_finite)
+    return np.array(rows)
 
 
 def sample(cov: CovarianceR, n: int, seed: int, basis=None,

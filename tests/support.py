@@ -85,6 +85,47 @@ def per_sample_moments(x, basis, center=False):
     return sigma2, gammas
 
 
+def write_sample_csv_reference(path, rows, header="a,b,c,d"):
+    """Reference sample CSV writer, one format(v, ".17g") per value; the
+    package's block writer must match its output byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for row in np.asarray(rows, dtype=float):
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
+def read_sample_csv_reference(path):
+    """Reference sample CSV reader, one float() per field: the files it
+    accepts, the arrays it returns and its messages are the package's."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "a,b,c,d":
+            raise ValueError(f"line 1: expected header 'a,b,c,d', got {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ValueError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
+    if not rows:
+        raise ValueError("no sample rows found")
+    data = np.array(rows)
+    if not np.isfinite(data).all():
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if lineno > 1 and line and not np.isfinite(
+                        [float(p) for p in line.split(",")]).all():
+                    raise ValueError(f"line {lineno}: non-finite field in {line!r}")
+    return data
+
+
 def cov_r_from_pair_moments(c11, c22, c12, p11, p22, p12, basis=STANDARD_BASIS):
     """Real-face covariance built directly from the second moments of the
     Cayley-Dickson pair (z1, z2): variances c11, c22, cross-covariance

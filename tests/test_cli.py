@@ -129,6 +129,41 @@ def test_classify_zero_csv_is_data_error(tmp_path, capsys):
     assert "degenerate covariance" in capsys.readouterr().err
 
 
+def test_classify_too_few_rows_is_not_called_degenerate(tmp_path, capsys):
+    path = tmp_path / "h.csv"
+    run_cli("generate", "--class", "hproper", "--sigma2", "1", "--n", "50",
+            "--out", str(path))
+    capsys.readouterr()
+    assert run_cli("classify", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "need at least 100 samples" in err
+    assert "degenerate" not in err
+
+
+# one field of 1e200 overflows S; every field times 1e153 leaves S finite but
+# overflows |gamma|^2
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale_all", [False, True], ids=["one_1e200", "all_1e153"])
+def test_classify_overflowing_samples_is_data_error(scale_all, tmp_path, capsys):
+    path = tmp_path / "h.csv"
+    run_cli("generate", "--class", "hproper", "--sigma2", "1", "--n", "200",
+            "--out", str(path))
+    lines = path.read_text().splitlines()
+    if scale_all:
+        lines[1:] = [",".join(repr(float(v) * 1e153) for v in line.split(","))
+                     for line in lines[1:]]
+    else:
+        fields = lines[50].split(",")
+        fields[1] = "1e200"
+        lines[50] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("classify", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_classify_malformed_csv_names_line(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c,d\n1,2,3,4\noops\n")

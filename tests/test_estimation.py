@@ -271,6 +271,10 @@ def test_axis_name_helper():
     assert axis_name(-J) == "-j"
     assert axis_name(K) == "k"
     assert axis_name(Quaternion(0, 0.6, 0.8, 0)).startswith("(")
+    # the np.allclose(v, unit, atol=1e-9) rule: 1e-9 + 1e-5 on the unit
+    # component, 1e-9 on the zero components
+    assert axis_name(Quaternion(0, 1 + 5e-6, 0, 0)) == "i"
+    assert axis_name(Quaternion(0, 1, 2e-9, 0)).startswith("(")
 
 
 # --- estimator consistency ----------------------------------------------------

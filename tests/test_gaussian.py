@@ -16,7 +16,8 @@ from quatprop.gaussian import quaternion_face_from_gammas
 
 from support import (all_class_params, cov_r_from_pair_moments,
                      defining_rotations, expected_complex_face, general_params,
-                     rand_basis, rand_quaternion)
+                     rand_basis, rand_quaternion, read_sample_csv_reference,
+                     write_sample_csv_reference)
 
 
 # --- construction: printed complex-face patterns ---------------------------
@@ -405,6 +406,36 @@ def test_sample_csv_round_trip(tmp_path):
     assert meta["seed"] == 4 and meta["n"] == 50
 
 
+_EDGE_DOUBLES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 1023, 1024, 1025, 2049]), st.sampled_from([2, 4]),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from(_EDGE_DOUBLES), min_size=1, max_size=16))
+def test_sample_csv_matches_reference_io(tmp_path_factory, n, cols, seed, drawn):
+    # every finite double is reachable from random bit patterns; the drawn
+    # values and the edge values land at random places among them
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=(n, cols), dtype=np.uint64)
+    x = bits.view(np.float64).copy()
+    x[~np.isfinite(x)] = 1.0
+    flat = x.reshape(-1)
+    extra = np.array(drawn + _EDGE_DOUBLES)
+    flat[rng.integers(0, flat.size, size=extra.size)] = extra
+    header = "a,b,c,d" if cols == 4 else "re,im_i"
+    out = tmp_path_factory.mktemp("csv")
+    write_sample_csv(out / "fast.csv", x, header=header)
+    write_sample_csv_reference(out / "ref.csv", x, header=header)
+    assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
+    if cols == 4:
+        back = read_sample_csv(out / "fast.csv")
+        ref = read_sample_csv_reference(out / "fast.csv")
+        assert back.dtype == ref.dtype and back.shape == ref.shape == (n, 4)
+        assert back.tobytes() == ref.tobytes() == x.tobytes()
+
+
 def test_read_sample_csv_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c,d\n1,2,3,4\n1,2,3\n")
@@ -416,6 +447,44 @@ def test_read_sample_csv_reports_line_numbers(tmp_path):
     path.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError, match="line 1"):
         read_sample_csv(path)
+    # a bad row far past the first 1024 rows
+    good = "0.5,-1,2e-3,4\n"
+    path.write_text("a,b,c,d\n" + good * 2998 + "1,2,3\n" + good * 10)
+    with pytest.raises(ValueError, match="^line 3000: expected 4 fields"):
+        read_sample_csv(path)
+    # inputs only float() takes: a whitespace-only line, digits with "_"
+    path.write_text("a,b,c,d\n1,2,3,4\n  \t\n5,6,7,8\n")
+    assert read_sample_csv(path).tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
+    path.write_text("a,b,c,d\n1_0,2,3,4\n")
+    assert read_sample_csv(path).tolist() == [[10, 2, 3, 4]]
+    path.write_text("a,b,c,d\n1,2,3,4,\n")
+    with pytest.raises(ValueError, match="^line 2: expected 4 fields, got 5"):
+        read_sample_csv(path)
+    # "#" starts no comment
+    path.write_text("a,b,c,d\n1,2,3,4 # c\n")
+    with pytest.raises(ValueError, match="^line 2: non-numeric field"):
+        read_sample_csv(path)
+    # np.loadtxt reads "1\x1c" as 1; float() rejects it
+    path.write_text("a,b,c,d\n1\x1c,2,3,4\n")
+    with pytest.raises(ValueError, match="^line 2: non-numeric field"):
+        read_sample_csv(path)
+    path.write_text("a,b,c,d\n1,2,3,4\n1e999,2,3,4\n")
+    with pytest.raises(ValueError, match="^line 3: non-finite field"):
+        read_sample_csv(path)
+    # a malformed row is reported before an earlier non-finite one
+    path.write_text("a,b,c,d\nnan,2,3,4\n1,2,3\n")
+    with pytest.raises(ValueError, match="^line 3: expected 4 fields"):
+        read_sample_csv(path)
+    path.write_text("a,b,c,d\n")
+    with pytest.raises(ValueError, match="^no sample rows found$"):
+        read_sample_csv(path)
+    # undecodable bytes: the reference's error, at the same buffer offset
+    path.write_bytes(b"a,b,c,d\n" + b"1,2,3,4\n" * 5000 + b"1,\xff,3,4\n")
+    with pytest.raises(UnicodeDecodeError) as got:
+        read_sample_csv(path)
+    with pytest.raises(UnicodeDecodeError) as ref:
+        read_sample_csv_reference(path)
+    assert str(got.value) == str(ref.value)
 
 
 def test_covariance_faces_serialize(tmp_path):

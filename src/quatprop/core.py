@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .qarray import hamilton
+
 # Algebraic identities in double precision hold to this tolerance.
 ATOL = 1e-12
 
@@ -68,14 +70,8 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-            a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-            return Quaternion(
-                a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-            )
+            return Quaternion(*hamilton(self.a, self.b, self.c, self.d,
+                                        other.a, other.b, other.c, other.d))
         if isinstance(other, (int, float)):
             f = float(other)
             return Quaternion(self.a * f, self.b * f, self.c * f, self.d * f)

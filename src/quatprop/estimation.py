@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qarray
 from .core import ONE, Quaternion, QuaternionBasis
-from .gaussian import (CovarianceR, PropernessTag, convert, involution_stack,
-                       quaternion_face_from_gammas)
+from .gaussian import (CovarianceR, PropernessTag, convert,
+                       quaternion_face_from_gammas, quaternion_face_map)
 from .rotations import double_rotation
 
 
@@ -45,21 +44,27 @@ class ComplementaryCovariances:
         return (self.gamma1, self.gamma2, self.gamma3)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _moments(x: np.ndarray, basis: QuaternionBasis, center: bool):
     """The second moment S = X^T X / n of the (optionally mean-centred) rows,
     and sigma2 = tr S, gamma_r = sum_ab S_ab e_a (e_b^mu_r)* derived from it.
 
+    The coefficients e_a (e_b^mu_r)* are row 0 of the quaternion-face map.
     The component of gamma_r along mu_r has an antisymmetric coefficient
-    matrix, so it cancels against the symmetric S up to roundoff.
+    matrix, so it cancels against the symmetric S up to roundoff. Huge
+    sample values raise ValueError, not numpy warnings, when they make S,
+    sigma2 or a gamma infinite.
     """
     n = x.shape[0]
     if center:
         x = x - x.mean(axis=0)
     s = (x.T @ x) / n
-    coeffs = qarray.mul(np.eye(4)[None, :, None, :],
-                        qarray.conj(involution_stack(basis)[1:, None, :, :]))
-    gammas = np.einsum("ab,rabc->rc", s, coeffs)
-    cc = ComplementaryCovariances(float(np.trace(s)),
+    gammas = np.einsum("ab,rabc->rc", s, quaternion_face_map(basis)[0, 1:])
+    sigma2 = float(np.trace(s))
+    if not (np.isfinite(s).all() and math.isfinite(sigma2)
+            and np.isfinite(gammas).all()):
+        raise ValueError("second moments are not finite: sample values too large")
+    cc = ComplementaryCovariances(sigma2,
                                   *(Quaternion.from_vec(g) for g in gammas),
                                   basis, n)
     return s, cc
@@ -85,7 +90,7 @@ def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
 
     All three come from the second moment S: the real face is S itself, the
     quaternion face is assembled from sigma2 and gamma1..3 of S, and the
-    complex face follows from the quaternion face.
+    complex face is the fixed linear map of S (see convert).
     """
     x = _as_rows(samples)
     n = x.shape[0]
@@ -93,7 +98,15 @@ def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
         raise ValueError("need at least 5 samples")
     s, cc = _moments(x, basis, center)
     gh = quaternion_face_from_gammas(cc.sigma2, *cc.gammas, basis)
-    return gh, convert(gh, "complex"), CovarianceR(s, basis)
+    gr = CovarianceR(s, basis)
+    return gh, convert(gr, "complex"), gr
+
+
+def _rotation_defect(s: np.ndarray, u: Quaternion, v: Quaternion) -> np.ndarray:
+    """M S M^T - S for the rotation matrix M of q -> u*q*v: zero exactly
+    when the rotation leaves the covariance S fixed."""
+    m = double_rotation(u, v).matrix
+    return m @ s @ m.T - s
 
 
 def symmetry_residual(cov: CovarianceR, u: Quaternion, v: Quaternion) -> float:
@@ -102,8 +115,7 @@ def symmetry_residual(cov: CovarianceR, u: Quaternion, v: Quaternion) -> float:
     scale = float(np.linalg.norm(g))
     if scale == 0.0:
         raise ValueError("zero covariance has no symmetry residual")
-    m = double_rotation(u, v).matrix
-    return float(np.linalg.norm(m @ g @ m.T - g) / scale)
+    return float(np.linalg.norm(_rotation_defect(g, u, v)) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +144,9 @@ class Candidate:
 @dataclass(frozen=True)
 class PropernessReport:
     """Residual scores for every candidate class plus the chosen one: the
-    most specific class whose residual clears the tolerance."""
+    first class, in the fixed policy order hproper, pair rotations (mumu,
+    musame), one-sided rotations (muone, onemu), general, whose residual
+    clears the tolerance (the smallest residual inside a tier)."""
 
     candidates: tuple
     chosen: Candidate
@@ -176,14 +190,12 @@ def axis_name(mu: Quaternion) -> str:
     return "(" + ",".join(format(v, ".3g") for v in vec) + ")"
 
 
-# candidate tiers from most to least specific; ties inside a tier go to the
-# smaller residual
+# candidate tiers in a fixed policy order, hproper, pair rotations, one-sided
+# rotations, which is not by fixed-space dimension (6 for a pair, 4 for a
+# one-sided rotation); ties inside a tier go to the smaller residual
 _TIER_MU_PAIRS = [(i, j) for i in range(3) for j in range(3) if i != j]
 
 
-# Finite but huge sample values can overflow S or |gamma|^2. The overflow
-# reaches the caller as one ValueError (see the end of classify), not as
-# numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def classify(samples, basis: QuaternionBasis, c: float = 5.0,
              center: bool = False) -> PropernessReport:
@@ -213,9 +225,7 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
     one = ONE
 
     def rot_residual(u, v):
-        m = double_rotation(u, v).matrix
-        defect = m @ s @ m.T - s
-        return float(np.abs(defect).max() / cc.sigma2)
+        return float(np.abs(_rotation_defect(s, u, v)).max() / cc.sigma2)
 
     tier_top = [Candidate(PropernessTag.H_PROPER, (), h_resid)]
     tier_pair = (
@@ -242,8 +252,8 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
             break
 
     candidates = tuple(tier_top + tier_pair + tier_single + [fallback])
-    if not (np.isfinite(s).all() and math.isfinite(cc.sigma2)
-            and all(math.isfinite(cand.residual) for cand in candidates)):
+    # S is finite (see _moments), but |gamma|^2 or a defect can overflow
+    if not all(math.isfinite(cand.residual) for cand in candidates):
         raise ValueError("second moments are not finite: sample values too large")
     return PropernessReport(candidates, chosen, tol, n, basis, cc)
 

@@ -10,10 +10,17 @@ along a basis {1, mu1, mu2, mu3}) can be summarised on three equivalent faces:
 * quaternion face: the 4x4 quaternion Hermitian covariance of
   (q, q^mu1, q^mu2, q^mu3), where q^mu is the involution about mu.
 
+For a fixed basis the complex and quaternion faces are fixed linear maps of
+the real face S: C = W S W^H, with W taking frame coordinates to
+(z1, z1*, z2, z2*), and H = K S, with K[r, s, a, b] = e_a^mu_r (e_b^mu_s)*.
+Both maps are invertible on real 4x4 matrices, so every conversion is S from
+the source face, then the target face from S; a face off the image of the
+real matrices is rejected.
+
 Each symmetry class (invariance of the distribution under a fixed double
 rotation q -> u*q*v with axes from the basis) pins a sparse pattern on the
 complex face; those patterns are constructed here from the class's moment
-constraints and converted exactly onto the other faces.
+constraints and mapped exactly onto the other faces through S.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import ClassVar, NamedTuple, Optional
 import numpy as np
 
 from . import qarray
-from .core import ATOL, ONE, Quaternion, QuaternionBasis, STANDARD_BASIS
+from .core import ATOL, Quaternion, QuaternionBasis, STANDARD_BASIS
 
 # Estimated or constructed covariances may dip this far below zero before we
 # call them indefinite.
@@ -232,23 +239,12 @@ class CovarianceFaces(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# representation maps and quaternion matrix algebra
+# representation maps: every face is a fixed linear image of the real face S
 
-def _qm_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product of quaternion matrices stored as (n, m, 4) arrays."""
-    n, km = A.shape[0], A.shape[1]
-    m = B.shape[1]
-    out = np.zeros((n, m, 4))
-    for k in range(km):
-        # outer product of column k of A with row k of B, quaternion-wise
-        a = np.repeat(A[:, k : k + 1, :], m, axis=1)
-        b = np.repeat(B[k : k + 1, :, :], n, axis=0)
-        out += qarray.mul(a, b)
-    return out
-
-
-def _qm_dagger(A: np.ndarray) -> np.ndarray:
-    return qarray.conj(np.swapaxes(A, 0, 1))
+# frame coordinates (x0, x1, x2, x3) -> (z1, z1*, z2, z2*), with
+# z1 = x0 + x1*mu1 and z2 = x2 + x3*mu1; _PAIR _PAIR^H = 2 I
+_PAIR = np.array([[1, 1j, 0, 0], [1, -1j, 0, 0],
+                  [0, 0, 1, 1j], [0, 0, 1, -1j]])
 
 
 def involution_stack(basis: QuaternionBasis) -> np.ndarray:
@@ -266,83 +262,71 @@ def involution_stack(basis: QuaternionBasis) -> np.ndarray:
     return T
 
 
-def complex_projection(basis: QuaternionBasis) -> np.ndarray:
-    """The quaternion matrix M with (z1, z1*, z2, z2*) = M (q, q^mu1, q^mu2, q^mu3)."""
-    one = 0.5 * ONE.to_vec()
-    m2 = 0.5 * basis.mu2.to_vec()
-    zero = np.zeros(4)
-    return np.array([
-        [one, one, zero, zero],
-        [zero, zero, one, one],
-        [zero, zero, -m2, m2],
-        [-m2, m2, zero, zero],
-    ])
+def quaternion_face_map(basis: QuaternionBasis) -> np.ndarray:
+    """K with K[r, s, a, b] = e_a^mu_r (e_b^mu_s)*, a (4, 4, 4, 4, 4) array
+    whose last axis holds quaternion components.
 
-
-def _real_to_quaternion(gr: np.ndarray, basis: QuaternionBasis) -> np.ndarray:
+    The quaternion face of S is sum_ab S_ab K[:, :, a, b]; summed over
+    (r, s, components), K^T K = 16 I on real 4x4 matrices, so K^T / 16
+    inverts it.
+    """
     T = involution_stack(basis)
-    gq = np.zeros((4, 4, 4))
-    gq[:, :, 0] = gr
-    return _qm_mul(_qm_mul(T, gq), _qm_dagger(T))
+    return qarray.mul(T[:, None, :, None, :], qarray.conj(T[None, :, None, :, :]))
 
 
-def _quaternion_to_real(gh: np.ndarray, basis: QuaternionBasis) -> np.ndarray:
-    T = involution_stack(basis)
-    out = _qm_mul(_qm_mul(_qm_dagger(T), gh), T) / 16.0
-    imag = np.max(np.abs(out[:, :, 1:]))
-    scale = max(np.max(np.abs(out[:, :, 0])), 1.0)
-    if imag > 1e-9 * scale:
-        raise ValueError("matrix is not a valid quaternion-face covariance "
-                         f"for this basis (imaginary residual {imag:.3e})")
-    g = out[:, :, 0]
-    return (g + g.T) / 2.0
+def _valid_real(s: np.ndarray, residual: float, face: str) -> np.ndarray:
+    """Symmetrised S, after rejecting a face whose residual off the image of
+    the real 4x4 matrices exceeds 1e-9 of its scale."""
+    scale = max(float(np.max(np.abs(s))), 1.0)
+    if residual > 1e-9 * scale:
+        raise ValueError(f"matrix is not a valid {face}-face covariance "
+                         f"for this basis (residual {residual:.3e})")
+    return (s + s.T) / 2.0
 
 
-def _quaternion_to_complex(gh: np.ndarray, basis: QuaternionBasis) -> np.ndarray:
-    M = complex_projection(basis)
-    gq = _qm_mul(_qm_mul(M, gh), _qm_dagger(M))
-    coords = np.einsum("ab,ijb->ija", basis.frame.T, gq)
-    stray = np.max(np.abs(coords[:, :, 2:]))
-    scale = max(np.max(np.abs(coords[:, :, :2])), 1.0)
-    if stray > 1e-9 * scale:
-        raise ValueError("matrix is not a valid quaternion-face covariance "
-                         f"for this basis (subfield residual {stray:.3e})")
-    return coords[:, :, 0] + 1j * coords[:, :, 1]
+def _real_face(cov) -> np.ndarray:
+    """The real face S of any face."""
+    if isinstance(cov, CovarianceR):
+        return cov.matrix
+    if isinstance(cov, CovarianceC):
+        v = cov.basis.frame @ _PAIR.conj().T / 2.0
+        s = v @ cov.matrix @ v.conj().T  # V = W^-1 = F _PAIR^H / 2
+        return _valid_real(s.real, float(np.max(np.abs(s.imag))), "complex")
+    if isinstance(cov, CovarianceH):
+        K = quaternion_face_map(cov.basis)
+        s = np.einsum("rsc,rsabc->ab", cov.matrix, K) / 16.0
+        residual = np.max(np.abs(cov.matrix - np.einsum("ab,rsabc->rsc", s, K)))
+        return _valid_real(s, float(residual), "quaternion")
+    raise TypeError(f"not a covariance face: {type(cov).__name__}")
 
 
-def _complex_to_quaternion(gc: np.ndarray, basis: QuaternionBasis) -> np.ndarray:
-    M = complex_projection(basis)
-    lift = (gc.real[:, :, None] * ONE.to_vec()
-            + gc.imag[:, :, None] * basis.mu1.to_vec())
-    return 4.0 * _qm_mul(_qm_mul(_qm_dagger(M), lift), M)
+def _complex_face(s: np.ndarray, basis: QuaternionBasis) -> np.ndarray:
+    w = _PAIR @ basis.frame.T  # W, with F = basis.frame
+    return w @ s @ w.conj().T
+
+
+def _quaternion_face(s: np.ndarray, basis: QuaternionBasis) -> np.ndarray:
+    return np.einsum("ab,rsabc->rsc", s, quaternion_face_map(basis))
 
 
 def convert(cov, to: str):
-    """Change a covariance to another face ("real", "complex", "quaternion")."""
+    """Change a covariance to another face ("real", "complex", "quaternion").
+
+    Every conversion goes through the real face S: a complex or quaternion
+    face that is not the image of a real matrix raises ValueError.
+    """
     if to not in ("real", "complex", "quaternion"):
         raise ValueError(f"unknown face {to!r}")
-    basis = cov.basis
-    if isinstance(cov, CovarianceR):
-        if to == "real":
-            return cov
-        gh = _real_to_quaternion(cov.matrix, basis)
-        if to == "quaternion":
-            return CovarianceH(gh, basis)
-        return CovarianceC(_quaternion_to_complex(gh, basis), basis)
-    if isinstance(cov, CovarianceH):
-        if to == "quaternion":
-            return cov
-        if to == "real":
-            return CovarianceR(_quaternion_to_real(cov.matrix, basis), basis)
-        return CovarianceC(_quaternion_to_complex(cov.matrix, basis), basis)
-    if isinstance(cov, CovarianceC):
-        if to == "complex":
-            return cov
-        gh = _complex_to_quaternion(cov.matrix, basis)
-        if to == "quaternion":
-            return CovarianceH(gh, basis)
-        return CovarianceR(_quaternion_to_real(gh, basis), basis)
-    raise TypeError(f"not a covariance face: {type(cov).__name__}")
+    face = {CovarianceR: "real", CovarianceC: "complex",
+            CovarianceH: "quaternion"}.get(type(cov))
+    if face == to:
+        return cov
+    s, basis = _real_face(cov), cov.basis
+    if to == "real":
+        return CovarianceR(s, basis)
+    if to == "complex":
+        return CovarianceC(_complex_face(s, basis), basis)
+    return CovarianceH(_quaternion_face(s, basis), basis)
 
 
 def quaternion_face_from_gammas(sigma2: float, gamma1: Quaternion,
@@ -416,11 +400,12 @@ def covariance_from_params(params) -> CovarianceFaces:
     if params.tag is PropernessTag.GENERAL:
         h = quaternion_face_from_gammas(params.sigma2, params.gamma1,
                                         params.gamma2, params.gamma3, basis)
-        c = CovarianceC(_quaternion_to_complex(h.matrix, basis), basis)
+        gr = _real_face(h)
+        c = CovarianceC(_complex_face(gr, basis), basis)
     else:
         c = CovarianceC(_complex_face_from_moments(*_moments_for(params)), basis)
-        h = CovarianceH(_complex_to_quaternion(c.matrix, basis), basis)
-    gr = _quaternion_to_real(h.matrix, basis)
+        gr = _real_face(c)
+        h = CovarianceH(_quaternion_face(gr, basis), basis)
     lam_min = float(np.linalg.eigvalsh(gr).min())
     if lam_min < PSD_FLOOR:
         raise ValueError("parameters give an indefinite covariance: "

@@ -8,18 +8,23 @@ from __future__ import annotations
 import numpy as np
 
 
+def hamilton(a1, b1, c1, d1, a2, b2, c2, d2):
+    """Components of the Hamilton product (a1, b1, c1, d1)(a2, b2, c2, d2).
+
+    The one written-out form of the product: the arguments may be floats or
+    broadcasting arrays alike.
+    """
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
 def mul(p, q):
     """Hamilton product, broadcasting over leading axes."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    a1, b1, c1, d1 = np.moveaxis(p, -1, 0)
-    a2, b2, c2, d2 = np.moveaxis(q, -1, 0)
-    return np.stack([
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    ], axis=-1)
+    return np.stack(hamilton(*np.moveaxis(p, -1, 0), *np.moveaxis(q, -1, 0)), axis=-1)
 
 
 def conj(q):

@@ -18,25 +18,13 @@ from .core import ATOL, Quaternion, euler_form
 
 
 def left_matrix(q: Quaternion) -> np.ndarray:
-    """Matrix of p -> q*p acting on component vectors."""
-    a, b, c, d = q.a, q.b, q.c, q.d
-    return np.array([
-        [a, -b, -c, -d],
-        [b,  a, -d,  c],
-        [c,  d,  a, -b],
-        [d, -c,  b,  a],
-    ])
+    """Matrix of p -> q*p acting on component vectors: column j is q*e_j."""
+    return np.array(qarray.hamilton(q.a, q.b, q.c, q.d, *np.eye(4)))
 
 
 def right_matrix(q: Quaternion) -> np.ndarray:
-    """Matrix of p -> p*q acting on component vectors."""
-    a, b, c, d = q.a, q.b, q.c, q.d
-    return np.array([
-        [a, -b, -c, -d],
-        [b,  a,  d, -c],
-        [c, -d,  a,  b],
-        [d,  c, -b,  a],
-    ])
+    """Matrix of p -> p*q acting on component vectors: column j is e_j*q."""
+    return np.array(qarray.hamilton(*np.eye(4), q.a, q.b, q.c, q.d))
 
 
 class So4Check(NamedTuple):

@@ -3,9 +3,11 @@ fixtures, and independent covariance constructions used as oracles."""
 
 import numpy as np
 
-from quatprop import (GeneralParams, HProperParams, MuMuParams, MuOneParams,
-                      MuSameParams, OneMuParams, PureUnit, Quaternion,
-                      STANDARD_BASIS, qarray, validate_basis)
+from quatprop import (CovarianceC, CovarianceH, CovarianceR, GeneralParams,
+                      HProperParams, MuMuParams, MuOneParams, MuSameParams,
+                      OneMuParams, PureUnit, Quaternion, STANDARD_BASIS, qarray,
+                      validate_basis)
+from quatprop.gaussian import quaternion_face_from_gammas
 
 
 def rand_quaternion(rng, scale=1.0):
@@ -83,6 +85,124 @@ def per_sample_moments(x, basis, center=False):
         qarray.mul(x, qarray.conj(qarray.involution(x, mu.to_vec()))), axis=0))
         for mu in basis.axes]
     return sigma2, gammas
+
+
+# --- reference face conversions ---------------------------------------------
+# The quaternion-matrix route: products of 4x4 quaternion matrices, one
+# qarray.mul per term. The package maps every face through the real face S
+# instead; these are the conversions it must agree with.
+
+def _qm_mul(A, B):
+    """Product of quaternion matrices stored as (n, m, 4) arrays."""
+    out = np.zeros((A.shape[0], B.shape[1], 4))
+    for k in range(A.shape[1]):
+        out += qarray.mul(A[:, k:k + 1, :], B[k:k + 1, :, :])
+    return out
+
+
+def _qm_dagger(A):
+    return qarray.conj(np.swapaxes(A, 0, 1))
+
+
+def _involution_stack(basis):
+    """T with (q, q^mu1, q^mu2, q^mu3) = T q_vec."""
+    units = np.eye(4)
+    return np.array([units] + [qarray.involution(units, mu.to_vec())
+                               for mu in basis.axes])
+
+
+def _complex_projection(basis):
+    """M with (z1, z1*, z2, z2*) = M (q, q^mu1, q^mu2, q^mu3)."""
+    one = 0.5 * np.array([1.0, 0.0, 0.0, 0.0])
+    m2 = 0.5 * basis.mu2.to_vec()
+    zero = np.zeros(4)
+    return np.array([
+        [one, one, zero, zero],
+        [zero, zero, one, one],
+        [zero, zero, -m2, m2],
+        [-m2, m2, zero, zero],
+    ])
+
+
+def real_to_quaternion_reference(gr, basis):
+    T = _involution_stack(basis)
+    gq = np.zeros((4, 4, 4))
+    gq[:, :, 0] = gr
+    return _qm_mul(_qm_mul(T, gq), _qm_dagger(T))
+
+
+def quaternion_to_real_unchecked(gh, basis):
+    """T^H gh T / 16, a quaternion matrix that is real exactly when gh is a
+    quaternion face of a real matrix."""
+    T = _involution_stack(basis)
+    return _qm_mul(_qm_mul(_qm_dagger(T), gh), T) / 16.0
+
+
+def _quaternion_to_real(gh, basis):
+    out = quaternion_to_real_unchecked(gh, basis)
+    imag = np.max(np.abs(out[:, :, 1:]))
+    scale = max(np.max(np.abs(out[:, :, 0])), 1.0)
+    if imag > 1e-9 * scale:
+        raise ValueError(f"not a valid quaternion-face covariance (imaginary residual {imag:.3e})")
+    g = out[:, :, 0]
+    return (g + g.T) / 2.0
+
+
+def _quaternion_to_complex(gh, basis):
+    M = _complex_projection(basis)
+    gq = _qm_mul(_qm_mul(M, gh), _qm_dagger(M))
+    coords = np.einsum("ab,ijb->ija", basis.frame.T, gq)
+    stray = np.max(np.abs(coords[:, :, 2:]))
+    scale = max(np.max(np.abs(coords[:, :, :2])), 1.0)
+    if stray > 1e-9 * scale:
+        raise ValueError(f"not a valid quaternion-face covariance (subfield residual {stray:.3e})")
+    return coords[:, :, 0] + 1j * coords[:, :, 1]
+
+
+def complex_to_quaternion_reference(gc, basis):
+    M = _complex_projection(basis)
+    lift = (gc.real[:, :, None] * np.array([1.0, 0.0, 0.0, 0.0])
+            + gc.imag[:, :, None] * basis.mu1.to_vec())
+    return 4.0 * _qm_mul(_qm_mul(_qm_dagger(M), lift), M)
+
+
+def convert_reference(cov, to):
+    """Reference for quatprop.convert along the quaternion-matrix route."""
+    basis = cov.basis
+    if isinstance(cov, CovarianceR):
+        if to == "real":
+            return cov
+        gh = real_to_quaternion_reference(cov.matrix, basis)
+        if to == "quaternion":
+            return CovarianceH(gh, basis)
+        return CovarianceC(_quaternion_to_complex(gh, basis), basis)
+    if isinstance(cov, CovarianceH):
+        if to == "quaternion":
+            return cov
+        if to == "real":
+            return CovarianceR(_quaternion_to_real(cov.matrix, basis), basis)
+        return CovarianceC(_quaternion_to_complex(cov.matrix, basis), basis)
+    if to == "complex":
+        return cov
+    gh = complex_to_quaternion_reference(cov.matrix, basis)
+    if to == "quaternion":
+        return CovarianceH(gh, basis)
+    return CovarianceR(_quaternion_to_real(gh, basis), basis)
+
+
+def faces_reference(params):
+    """Reference (complex, real, quaternion) faces of a class: the hard-coded
+    complex pattern (or, for general, the quaternion template) carried to the
+    other faces by convert_reference."""
+    tag = params.tag.value
+    if tag == "general":
+        h = quaternion_face_from_gammas(params.sigma2, params.gamma1,
+                                        params.gamma2, params.gamma3, params.basis)
+        c = convert_reference(h, "complex")
+    else:
+        c = CovarianceC(expected_complex_face(tag, params), params.basis)
+        h = convert_reference(c, "quaternion")
+    return c, convert_reference(h, "real"), h
 
 
 def write_sample_csv_reference(path, rows, header="a,b,c,d"):

@@ -133,6 +133,16 @@ def test_second_moment_estimates_match_per_sample_definition(seed, center):
     assert np.max(np.abs(gr.matrix - want_r)) <= tol
 
 
+# one field of 1e200 overflows S itself
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("estimator", [complementary_covariances, covariance_faces])
+def test_estimators_reject_overflowing_samples(estimator):
+    data = sample(covariance_from_params(HProperParams(1.0)).r, 200, seed=3).data
+    data[17, 2] = 1e200
+    with pytest.raises(ValueError, match="second moments are not finite"):
+        estimator(data, STANDARD_BASIS)
+
+
 # --- symmetry residual -------------------------------------------------------
 
 def test_symmetry_residual_identity_rotation_is_zero():

@@ -14,10 +14,12 @@ from quatprop import (ONE, I, J, K, CovarianceC, CovarianceH, CovarianceR,
                       validate_basis, write_sample_csv)
 from quatprop.gaussian import quaternion_face_from_gammas
 
-from support import (all_class_params, cov_r_from_pair_moments,
-                     defining_rotations, expected_complex_face, general_params,
-                     rand_basis, rand_quaternion, read_sample_csv_reference,
-                     write_sample_csv_reference)
+from support import (all_class_params, complex_to_quaternion_reference,
+                     convert_reference, cov_r_from_pair_moments,
+                     defining_rotations, expected_complex_face, faces_reference,
+                     general_params, quaternion_to_real_unchecked, rand_basis,
+                     rand_quaternion, read_sample_csv_reference,
+                     real_to_quaternion_reference, write_sample_csv_reference)
 
 
 # --- construction: printed complex-face patterns ---------------------------
@@ -150,6 +152,88 @@ def test_convert_rejects_invalid_complex_face():
     bad = np.diag([1.0, 2.0, 1.0, 1.0]).astype(complex)
     with pytest.raises(ValueError):
         convert(CovarianceC(bad, STANDARD_BASIS), "real")
+
+
+FACES = ("real", "complex", "quaternion")
+
+
+def _reference_faces(rng, basis):
+    r = _random_cov_r(rng, basis)
+    return {"real": r, "complex": convert_reference(r, "complex"),
+            "quaternion": convert_reference(r, "quaternion")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_convert_matches_quaternion_matrix_reference(seed):
+    rng = np.random.default_rng(seed)
+    basis = rand_basis(rng)
+    faces = _reference_faces(rng, basis)
+    tol = 1e-12 * np.trace(faces["real"].matrix)
+    for source in FACES:
+        for to in FACES:
+            if to != source:
+                got = convert(faces[source], to)
+                want = convert_reference(faces[source], to)
+                assert type(got) is type(want)
+                assert np.max(np.abs(got.matrix - want.matrix)) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_covariance_from_params_matches_quaternion_matrix_reference(seed):
+    basis = rand_basis(np.random.default_rng(seed))
+    for params in all_class_params(basis).values():
+        faces = covariance_from_params(params)
+        want_c, want_r, want_h = faces_reference(params)
+        tol = 1e-12 * np.trace(want_r.matrix)
+        assert np.max(np.abs(faces.c.matrix - want_c.matrix)) <= tol
+        assert np.max(np.abs(faces.r.matrix - want_r.matrix)) <= tol
+        assert np.max(np.abs(faces.h.matrix - want_h.matrix)) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["complex", "quaternion"]))
+def test_face_off_its_subspace_is_rejected(seed, face):
+    # the part of a random matrix that the reference route does not map to a
+    # real matrix, scaled to 1e-6 of the face, must not pass as a covariance
+    rng = np.random.default_rng(seed)
+    basis = rand_basis(rng)
+    valid = _reference_faces(rng, basis)[face]
+    if face == "complex":
+        noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        y = quaternion_to_real_unchecked(
+            complex_to_quaternion_reference(noise, basis), basis)
+        on = convert_reference(CovarianceR(y[:, :, 0], basis), "complex").matrix
+    else:
+        noise = rng.normal(size=(4, 4, 4))
+        y = quaternion_to_real_unchecked(noise, basis)
+        on = real_to_quaternion_reference(y[:, :, 0], basis)
+    off = noise - on
+    scale = max(np.max(np.abs(convert_reference(valid, "real").matrix)), 1.0)
+    bad = type(valid)(valid.matrix + 1e-6 * scale * off / np.max(np.abs(off)), basis)
+    with pytest.raises(ValueError):
+        convert_reference(bad, "real")
+    with pytest.raises(ValueError, match=f"not a valid {face}-face covariance"):
+        convert(bad, "real")
+
+
+def test_invalid_face_raises_whichever_face_it_goes_to():
+    # every conversion passes through the real face, so a complex face off
+    # its subspace is rejected on the way to the quaternion face too, and a
+    # quaternion face is rejected by the same check whatever the target
+    bad_c = CovarianceC(np.diag([1.0, 2.0, 1.0, 1.0]).astype(complex), STANDARD_BASIS)
+    with pytest.raises(ValueError, match="not a valid complex-face covariance"):
+        convert(bad_c, "quaternion")
+    bad_h = convert(CovarianceR(np.eye(4) / 4), "quaternion").matrix.copy()
+    bad_h[0, 1, 2] += 0.1
+    bad_h = CovarianceH(bad_h, STANDARD_BASIS)
+    with pytest.raises(ValueError) as to_real:
+        convert(bad_h, "real")
+    with pytest.raises(ValueError) as to_complex:
+        convert(bad_h, "complex")
+    assert "not a valid quaternion-face covariance" in str(to_real.value)
+    assert str(to_complex.value) == str(to_real.value)
 
 
 def test_quaternion_face_diagonal_is_total_variance():

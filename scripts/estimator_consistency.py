@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from quatprop import (STANDARD_BASIS, covariance_faces, covariance_from_params,
-                      sample)
-from quatprop.gaussian import GeneralParams
+from quatprop import (STANDARD_BASIS, GeneralParams, covariance_faces,
+                      covariance_from_params, sample)
 
 
 def main():

@@ -15,7 +15,6 @@ the clouds.
 
 import argparse
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from quatprop import (MuMuParams, OneMuParams, STANDARD_BASIS, classify,
@@ -24,31 +23,23 @@ from quatprop import (MuMuParams, OneMuParams, STANDARD_BASIS, classify,
 from quatprop.cli import main as cli_main
 
 
-@dataclass
-class DemoConfig:
-    out_dir: Path
-    n: int = 50_000
-    seed: int = 42
-    tolerance_const: float = 5.0
-
-
-def run_dataset(name, params, cfg):
+def run_dataset(name, params, out_dir, n, seed):
     faces = covariance_from_params(params)
-    draws = sample(faces.r, cfg.n, cfg.seed, basis=params.basis,
+    draws = sample(faces.r, n, seed, basis=params.basis,
                    class_tag=params.tag.value, params=params.param_dict())
-    csv_path = cfg.out_dir / f"{name}.csv"
-    draws.save(csv_path, cfg.out_dir / f"{name}.json")
+    csv_path = out_dir / f"{name}.csv"
+    draws.save(csv_path, out_dir / f"{name}.json")
 
-    rc = cli_main(["project", str(csv_path), "--out-dir", str(cfg.out_dir)])
+    rc = cli_main(["project", str(csv_path), "--out-dir", str(out_dir)])
     if rc != 0:
         raise SystemExit(rc)
 
-    report = classify(draws.data, STANDARD_BASIS, c=cfg.tolerance_const)
-    report_path = cfg.out_dir / f"{name}_report.json"
+    report = classify(draws.data, STANDARD_BASIS)
+    report_path = out_dir / f"{name}_report.json"
     report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
 
     chosen = report.chosen
-    print(f"{name}: n={cfg.n} seed={cfg.seed}")
+    print(f"{name}: n={n} seed={seed}")
     print(f"  chosen class: {chosen.label(STANDARD_BASIS)}"
           f" (residual {chosen.residual:.2e}, tolerance {report.tolerance:.2e})")
     print(f"  prior-taxonomy alias: {via_class_alias(report)}")
@@ -62,13 +53,14 @@ def main():
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    cfg = DemoConfig(out_dir=args.out_dir, n=args.n, seed=args.seed)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
 
     run_dataset("pair_rotation_proper",
-                MuMuParams(1.0, 0.3 + 0.1j, 0.2, STANDARD_BASIS), cfg)
+                MuMuParams(1.0, 0.3 + 0.1j, 0.2, STANDARD_BASIS),
+                args.out_dir, args.n, args.seed)
     run_dataset("right_axis_proper",
-                OneMuParams(1.0, 2.0, 0.5 + 0.3j, validate_basis(J, K)), cfg)
+                OneMuParams(1.0, 2.0, 0.5 + 0.3j, validate_basis(J, K)),
+                args.out_dir, args.n, args.seed)
 
 
 if __name__ == "__main__":

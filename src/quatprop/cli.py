@@ -16,10 +16,8 @@ from pathlib import Path
 
 from . import estimation
 from .core import PureUnit, Quaternion, validate_basis
-from .gaussian import (GeneralParams, HProperParams, MuMuParams, MuOneParams,
-                       MuSameParams, OneMuParams, PropernessTag,
-                       covariance_from_params, read_sample_csv, sample,
-                       write_sample_csv)
+from .gaussian import (ClassParams, PropernessTag, covariance_from_params,
+                       read_sample_csv, sample, write_sample_csv)
 from .rotations import double_rotation
 
 DEFAULT_N = 50_000
@@ -42,12 +40,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_finite(values, text, what):
-    if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"{what} has a non-finite value in {text!r}")
-    return values
-
-
 def _parse_floats(text, count, what):
     parts = text.split(",")
     if len(parts) != count:
@@ -56,7 +48,9 @@ def _parse_floats(text, count, what):
         values = [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"{what} has a non-numeric value in {text!r}") from None
-    return _check_finite(values, text, what)
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{what} has a non-finite value in {text!r}")
+    return values
 
 
 def _parse_axis(text, what):
@@ -68,17 +62,10 @@ def _parse_axis(text, what):
 
 
 def _parse_complex(text, what):
-    parts = text.split(",")
-    if len(parts) == 1:
-        parts = [parts[0], "0"]
-    if len(parts) != 2:
+    commas = text.count(",")
+    if commas > 1:
         raise UsageError(f"{what} must be 're' or 're,im', got {text!r}")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise UsageError(f"{what} has a non-numeric value in {text!r}") from None
-    real, imag = _check_finite(values, text, what)
-    return complex(real, imag)
+    return complex(*_parse_floats(text, commas + 1, what))
 
 
 def _parse_unit_quaternion(text, what):
@@ -98,55 +85,39 @@ def _basis_from_args(args):
         raise UsageError(str(exc)) from None
 
 
-_CLASS_FLAGS = {
-    PropernessTag.MU_MU: ("sigma2", "alpha", "delta"),
-    PropernessTag.MU_ONE: ("sigma2", "varsigma2", "omega"),
-    PropernessTag.ONE_MU: ("sigma2", "varsigma2", "omega"),
-    PropernessTag.MU_SAME: ("sigma2", "varsigma2", "alpha", "delta"),
-    PropernessTag.H_PROPER: ("sigma2",),
-    PropernessTag.GENERAL: ("sigma2", "gamma1", "gamma2", "gamma3"),
-}
+# generate's class-parameter flags, in the order their presence is checked
+_PARAM_FLAGS = ("sigma2", "varsigma2", "alpha", "delta", "omega",
+                "gamma1", "gamma2", "gamma3")
 
 
 def _params_from_args(args, basis):
+    """The class's *Params from its flags: one flag per field, parsed by the
+    field's type (float: re[,0]; complex: re[,im]; Quaternion: 4 basis
+    coordinates)."""
     tag = PropernessTag(args.class_tag)
-    needed = _CLASS_FLAGS[tag]
-    all_flags = ("sigma2", "varsigma2", "alpha", "delta", "omega",
-                 "gamma1", "gamma2", "gamma3")
-    for flag in all_flags:
+    cls = next(c for c in ClassParams if c.tag is tag)
+    kinds = dict(cls.param_fields())
+    for flag in _PARAM_FLAGS:
         value = getattr(args, flag)
-        if flag in needed and value is None:
+        if flag in kinds and value is None:
             raise UsageError(f"class {tag.value} requires --{flag}")
-        if flag not in needed and value is not None:
+        if flag not in kinds and value is not None:
             raise UsageError(f"class {tag.value} does not take --{flag}")
 
-    def real(flag):
-        z = _parse_complex(getattr(args, flag), f"--{flag}")
+    def parse(flag, kind):
+        text, what = getattr(args, flag), f"--{flag}"
+        if kind is Quaternion:
+            return basis.from_coords(_parse_floats(text, 4, what))
+        z = _parse_complex(text, what)
+        if kind is complex:
+            return z
         if z.imag != 0.0:
-            raise UsageError(f"--{flag} must be real for class {tag.value}")
+            raise UsageError(f"{what} must be real for class {tag.value}")
         return z.real
 
-    def cplx(flag):
-        return _parse_complex(getattr(args, flag), f"--{flag}")
-
-    def gamma(flag):
-        coords = _parse_floats(getattr(args, flag), 4, f"--{flag}")
-        return basis.from_coords(coords)
-
+    values = {flag: parse(flag, kind) for flag, kind in kinds.items()}
     try:
-        if tag is PropernessTag.MU_MU:
-            return MuMuParams(real("sigma2"), cplx("alpha"), real("delta"), basis)
-        if tag is PropernessTag.MU_ONE:
-            return MuOneParams(real("sigma2"), real("varsigma2"), cplx("omega"), basis)
-        if tag is PropernessTag.ONE_MU:
-            return OneMuParams(real("sigma2"), real("varsigma2"), cplx("omega"), basis)
-        if tag is PropernessTag.MU_SAME:
-            return MuSameParams(real("sigma2"), real("varsigma2"),
-                                cplx("alpha"), cplx("delta"), basis)
-        if tag is PropernessTag.H_PROPER:
-            return HProperParams(real("sigma2"), basis)
-        return GeneralParams(real("sigma2"), gamma("gamma1"), gamma("gamma2"),
-                             gamma("gamma3"), basis)
+        return cls(**values, basis=basis)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

@@ -23,12 +23,10 @@ complex face; those patterns are constructed here from the class's moment
 constraints and mapped exactly onto the other faces through S.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import ClassVar, NamedTuple, Optional
 
@@ -57,8 +55,33 @@ class PropernessTag(str, Enum):
 # class parameterisations
 
 
+class _ParamsBase:
+    """A class's parameters are its dataclass fields other than basis; each
+    field's type (float, complex or Quaternion) says how it is written out
+    and how the command line parses it. This module does not postpone
+    annotations, so a field's type is the class itself, not a string."""
+
+    @classmethod
+    def param_fields(cls):
+        """(name, type) of each parameter, in declaration order."""
+        return [(f.name, f.type) for f in fields(cls) if f.name != "basis"]
+
+    def param_dict(self):
+        """The parameters as JSON values: complex as [re, im], Quaternion as
+        its basis coordinates, float as is."""
+        out = {}
+        for name, kind in self.param_fields():
+            value = getattr(self, name)
+            if kind is complex:
+                value = [value.real, value.imag]
+            elif kind is Quaternion:
+                value = list(self.basis.to_coords(value))
+            out[name] = value
+        return out
+
+
 @dataclass(frozen=True)
-class MuMuParams:
+class MuMuParams(_ParamsBase):
     """Invariance under q -> mu1*q*mu2.
 
     sigma2 is the common variance of the two Cayley-Dickson halves,
@@ -73,14 +96,9 @@ class MuMuParams:
 
     tag: ClassVar[PropernessTag] = PropernessTag.MU_MU
 
-    def param_dict(self):
-        return {"sigma2": self.sigma2,
-                "alpha": [self.alpha.real, self.alpha.imag],
-                "delta": self.delta}
-
 
 @dataclass(frozen=True)
-class MuOneParams:
+class MuOneParams(_ParamsBase):
     """Invariance under q -> mu1*q: a correlated pair of proper halves,
     omega = E[z1 z2*]."""
 
@@ -91,13 +109,9 @@ class MuOneParams:
 
     tag: ClassVar[PropernessTag] = PropernessTag.MU_ONE
 
-    def param_dict(self):
-        return {"sigma2": self.sigma2, "varsigma2": self.varsigma2,
-                "omega": [self.omega.real, self.omega.imag]}
-
 
 @dataclass(frozen=True)
-class OneMuParams:
+class OneMuParams(_ParamsBase):
     """Invariance under q -> q*mu1: a pseudo-correlated pair of proper
     halves, omega = E[z1 z2]."""
 
@@ -108,13 +122,9 @@ class OneMuParams:
 
     tag: ClassVar[PropernessTag] = PropernessTag.ONE_MU
 
-    def param_dict(self):
-        return {"sigma2": self.sigma2, "varsigma2": self.varsigma2,
-                "omega": [self.omega.real, self.omega.imag]}
-
 
 @dataclass(frozen=True)
-class MuSameParams:
+class MuSameParams(_ParamsBase):
     """Invariance under q -> mu1*q*mu1: two uncorrelated improper halves
     with pseudo-variances alpha = E[z1^2] and delta = E[z2^2]."""
 
@@ -126,14 +136,9 @@ class MuSameParams:
 
     tag: ClassVar[PropernessTag] = PropernessTag.MU_SAME
 
-    def param_dict(self):
-        return {"sigma2": self.sigma2, "varsigma2": self.varsigma2,
-                "alpha": [self.alpha.real, self.alpha.imag],
-                "delta": [self.delta.real, self.delta.imag]}
-
 
 @dataclass(frozen=True)
-class HProperParams:
+class HProperParams(_ParamsBase):
     """Invariance under every 4D rotation; sigma2 is the total variance
     E[|q|^2]."""
 
@@ -142,12 +147,9 @@ class HProperParams:
 
     tag: ClassVar[PropernessTag] = PropernessTag.H_PROPER
 
-    def param_dict(self):
-        return {"sigma2": self.sigma2}
-
 
 @dataclass(frozen=True)
-class GeneralParams:
+class GeneralParams(_ParamsBase):
     """Unconstrained covariance: total variance sigma2 = E[|q|^2] plus the
     three complementary covariances, each a degenerate quaternion missing the
     component along its own involution axis.
@@ -168,12 +170,6 @@ class GeneralParams:
                 raise ValueError(
                     f"gamma{idx} must have no component on its own axis "
                     f"(found {coord:.3e})")
-
-    def param_dict(self):
-        return {"sigma2": self.sigma2,
-                "gamma1": list(self.basis.to_coords(self.gamma1)),
-                "gamma2": list(self.basis.to_coords(self.gamma2)),
-                "gamma3": list(self.basis.to_coords(self.gamma3))}
 
 
 ClassParams = (MuMuParams, MuOneParams, OneMuParams, MuSameParams,
@@ -275,8 +271,12 @@ def quaternion_face_map(basis: QuaternionBasis) -> np.ndarray:
 
 
 def _valid_real(s: np.ndarray, residual: float, face: str) -> np.ndarray:
-    """Symmetrised S, after rejecting a face whose residual off the image of
-    the real 4x4 matrices exceeds 1e-9 of its scale."""
+    """Symmetrised S, after rejecting a face whose S or residual is not
+    finite (the face overflowed), or whose residual off the image of the
+    real 4x4 matrices exceeds 1e-9 of its scale."""
+    if not (np.isfinite(s).all() and math.isfinite(residual)):
+        raise ValueError(f"matrix is not a valid {face}-face covariance "
+                         "(its real face overflows)")
     scale = max(float(np.max(np.abs(s))), 1.0)
     if residual > 1e-9 * scale:
         raise ValueError(f"matrix is not a valid {face}-face covariance "
@@ -284,20 +284,29 @@ def _valid_real(s: np.ndarray, residual: float, face: str) -> np.ndarray:
     return (s + s.T) / 2.0
 
 
+_FACE_NAMES = {CovarianceR: "real", CovarianceC: "complex",
+               CovarianceH: "quaternion"}
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _valid_real reports overflow
 def _real_face(cov) -> np.ndarray:
-    """The real face S of any face."""
-    if isinstance(cov, CovarianceR):
+    """The real face S of any face with finite entries."""
+    face = _FACE_NAMES.get(type(cov))
+    if face is None:
+        raise TypeError(f"not a covariance face: {type(cov).__name__}")
+    if not np.isfinite(cov.matrix).all():
+        raise ValueError(f"matrix is not a valid {face}-face covariance "
+                         "(non-finite entry)")
+    if face == "real":
         return cov.matrix
-    if isinstance(cov, CovarianceC):
+    if face == "complex":
         v = cov.basis.frame @ _PAIR.conj().T / 2.0
         s = v @ cov.matrix @ v.conj().T  # V = W^-1 = F _PAIR^H / 2
         return _valid_real(s.real, float(np.max(np.abs(s.imag))), "complex")
-    if isinstance(cov, CovarianceH):
-        K = quaternion_face_map(cov.basis)
-        s = np.einsum("rsc,rsabc->ab", cov.matrix, K) / 16.0
-        residual = np.max(np.abs(cov.matrix - np.einsum("ab,rsabc->rsc", s, K)))
-        return _valid_real(s, float(residual), "quaternion")
-    raise TypeError(f"not a covariance face: {type(cov).__name__}")
+    K = quaternion_face_map(cov.basis)
+    s = np.einsum("rsc,rsabc->ab", cov.matrix, K) / 16.0
+    residual = np.max(np.abs(cov.matrix - np.einsum("ab,rsabc->rsc", s, K)))
+    return _valid_real(s, float(residual), "quaternion")
 
 
 def _complex_face(s: np.ndarray, basis: QuaternionBasis) -> np.ndarray:
@@ -312,14 +321,13 @@ def _quaternion_face(s: np.ndarray, basis: QuaternionBasis) -> np.ndarray:
 def convert(cov, to: str):
     """Change a covariance to another face ("real", "complex", "quaternion").
 
-    Every conversion goes through the real face S: a complex or quaternion
-    face that is not the image of a real matrix raises ValueError.
+    Every conversion goes through the real face S: a face with a non-finite
+    entry, or a complex or quaternion face that is not the image of a real
+    matrix, raises ValueError.
     """
     if to not in ("real", "complex", "quaternion"):
         raise ValueError(f"unknown face {to!r}")
-    face = {CovarianceR: "real", CovarianceC: "complex",
-            CovarianceH: "quaternion"}.get(type(cov))
-    if face == to:
+    if _FACE_NAMES.get(type(cov)) == to:
         return cov
     s, basis = _real_face(cov), cov.basis
     if to == "real":

@@ -1,9 +1,11 @@
 """Shared helpers for the test suite: seeded random objects, class parameter
 fixtures, and independent covariance constructions used as oracles."""
 
+import math
+
 import numpy as np
 
-from quatprop import (CovarianceC, CovarianceH, CovarianceR, GeneralParams,
+from quatprop import (ATOL, CovarianceC, CovarianceH, CovarianceR, GeneralParams,
                       HProperParams, MuMuParams, MuOneParams, MuSameParams,
                       OneMuParams, PureUnit, Quaternion, STANDARD_BASIS, qarray,
                       validate_basis)
@@ -68,6 +70,76 @@ def defining_rotations(tag, basis):
         "hproper": [],
         "general": [],
     }[tag]
+
+
+# --- reference rule for generate's class-parameter flags --------------------
+# The flags each class takes and the kind of value each holds, written out by
+# hand, the order in which their presence is checked, and the message of the
+# first fault. The command line derives the flags and their kinds from the
+# *Params dataclass fields; this is the rule it must keep.
+
+PARAM_FLAG_ORDER = ("sigma2", "varsigma2", "alpha", "delta", "omega",
+                    "gamma1", "gamma2", "gamma3")
+
+REFERENCE_CLASS_FLAGS = {
+    "mumu": {"sigma2": "real", "alpha": "complex", "delta": "real"},
+    "muone": {"sigma2": "real", "varsigma2": "real", "omega": "complex"},
+    "onemu": {"sigma2": "real", "varsigma2": "real", "omega": "complex"},
+    "musame": {"sigma2": "real", "varsigma2": "real", "alpha": "complex",
+               "delta": "complex"},
+    "hproper": {"sigma2": "real"},
+    "general": {"sigma2": "real", "gamma1": "gamma", "gamma2": "gamma",
+                "gamma3": "gamma"},
+}
+
+
+def _reference_flag_value(tag, flag, kind, text):
+    """(parsed value, None) or (None, usage message) for one flag."""
+    what = f"--{flag}"
+    parts = text.split(",")
+    if kind == "gamma" and len(parts) != 4:
+        return None, f"{what} needs 4 comma-separated values, got {text!r}"
+    if kind != "gamma" and len(parts) > 2:
+        return None, f"{what} must be 're' or 're,im', got {text!r}"
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        return None, f"{what} has a non-numeric value in {text!r}"
+    if not all(math.isfinite(v) for v in values):
+        return None, f"{what} has a non-finite value in {text!r}"
+    if kind == "gamma":
+        return values, None
+    re, im = values if len(values) == 2 else (values[0], 0.0)
+    if kind == "complex":
+        return [re, im], None
+    if im != 0.0:
+        return None, f"{what} must be real for class {tag}"
+    return re, None
+
+
+def generate_params_reference(tag, flags, basis=STANDARD_BASIS):
+    """What `quatprop generate --class tag` makes of the class-parameter
+    flags in `flags` (flag -> text): the usage message of the first fault,
+    or else the param_dict of the parameters it builds."""
+    kinds = REFERENCE_CLASS_FLAGS[tag]
+    for flag in PARAM_FLAG_ORDER:
+        if flag in kinds and flag not in flags:
+            return f"class {tag} requires --{flag}"
+        if flag not in kinds and flag in flags:
+            return f"class {tag} does not take --{flag}"
+    out = {}
+    for flag, kind in kinds.items():
+        value, message = _reference_flag_value(tag, flag, kind, flags[flag])
+        if message is not None:
+            return message
+        out[flag] = value
+    for idx in (1, 2, 3) if tag == "general" else ():
+        coords = basis.to_coords(basis.from_coords(out[f"gamma{idx}"]))
+        if abs(coords[idx]) > ATOL:
+            return (f"gamma{idx} must have no component on its own axis "
+                    f"(found {coords[idx]:.3e})")
+        out[f"gamma{idx}"] = list(coords)
+    return out
 
 
 def per_sample_moments(x, basis, center=False):

@@ -1,12 +1,18 @@
+import itertools
 import json
 import subprocess
 import sys
+from argparse import Namespace
 
 import numpy as np
 import pytest
 
-from quatprop import read_sample_csv
+from quatprop import (STANDARD_BASIS, PureUnit, cli, read_sample_csv,
+                      validate_basis)
 from quatprop.cli import main
+
+from support import (PARAM_FLAG_ORDER, REFERENCE_CLASS_FLAGS,
+                     generate_params_reference, rand_basis)
 
 
 def run_cli(*argv):
@@ -299,3 +305,87 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert proc.stdout == ""
+
+
+# --- class-parameter flags against the hand-written reference rule ---------
+
+GOOD_VALUES = {"sigma2": "1", "varsigma2": "2", "alpha": "0.3,0.1",
+               "delta": "0.2", "omega": "0.5,0.3",
+               "gamma1": "0.1,0,0.15,0.05", "gamma2": "0.08,0.12,0,-0.06",
+               "gamma3": "-0.05,0.07,0.04,0"}
+
+# imaginary parts on real flags, own-axis gammas, malformed and non-finite
+# values, and values every kind accepts
+ODD_VALUES = ["1,0.5", "2,-1", "-0.2,0", "0.3", "0.3,0.1,4", "x", "1,y",
+              "inf", "nan,1", "", "0.1,0.2,0,0", "0,0,0.1,0", "0,0,0,0.2",
+              "0,0,inf,0", "1,2,3", "0,0,0,0"]
+
+
+def _bases():
+    return [STANDARD_BASIS,
+            validate_basis(PureUnit(1, 2, 3), PureUnit(3, 0, -1)),
+            rand_basis(np.random.default_rng(7))]
+
+
+def _params_outcome(tag, flags, basis):
+    """_params_from_args on these flags: the param_dict, or the message."""
+    args = Namespace(class_tag=tag,
+                     **{flag: flags.get(flag) for flag in PARAM_FLAG_ORDER})
+    try:
+        return cli._params_from_args(args, basis).param_dict()
+    except cli.UsageError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("tag", sorted(REFERENCE_CLASS_FLAGS))
+def test_params_from_args_matches_reference_on_every_flag_subset(tag):
+    # the first missing or extra flag, in the reference order
+    for basis in _bases():
+        for mask in range(1 << len(PARAM_FLAG_ORDER)):
+            flags = {flag: GOOD_VALUES[flag]
+                     for bit, flag in enumerate(PARAM_FLAG_ORDER) if mask >> bit & 1}
+            assert _params_outcome(tag, flags, basis) == \
+                generate_params_reference(tag, flags, basis), (tag, flags)
+
+
+@pytest.mark.parametrize("tag", sorted(REFERENCE_CLASS_FLAGS))
+def test_params_from_args_matches_reference_on_odd_values(tag):
+    own = list(REFERENCE_CLASS_FLAGS[tag])
+    extra = [f for f in PARAM_FLAG_ORDER if f not in own]
+    cases = []
+    for flag, value in itertools.product(own, ODD_VALUES):
+        cases.append({**{f: GOOD_VALUES[f] for f in own}, flag: value})
+    # two faults at once: the first in field order is reported
+    for (f1, f2), (v1, v2) in itertools.product(
+            itertools.combinations(own, 2), itertools.product(ODD_VALUES[:8], repeat=2)):
+        cases.append({**{f: GOOD_VALUES[f] for f in own}, f1: v1, f2: v2})
+    # a missing or extra flag is reported before any odd value
+    for value in ODD_VALUES:
+        cases.append({f: value for f in own[1:]})
+        cases += [{**{f: value for f in own}, e: GOOD_VALUES[e]} for e in extra]
+    for basis in _bases():
+        for flags in cases:
+            assert _params_outcome(tag, flags, basis) == \
+                generate_params_reference(tag, flags, basis), (tag, flags)
+
+
+@pytest.mark.parametrize("tag, flags, message", [
+    ("mumu", {"sigma2": "1", "delta": "0.2"}, "class mumu requires --alpha"),
+    ("hproper", {"sigma2": "1", "omega": "0.5"},
+     "class hproper does not take --omega"),
+    ("muone", {"sigma2": "1", "varsigma2": "2,1", "omega": "0.5"},
+     "--varsigma2 must be real for class muone"),
+    ("mumu", {"sigma2": "1", "alpha": "0.3", "delta": "0.2,0.1"},
+     "--delta must be real for class mumu"),
+    ("musame", {"sigma2": "1", "varsigma2": "1.5", "alpha": "0.2,0.1,0",
+                "delta": "x"}, "--alpha must be 're' or 're,im', got '0.2,0.1,0'"),
+    ("general", {"sigma2": "1", "gamma1": "0,0,0,0", "gamma2": "0,0,0.2,0",
+                 "gamma3": "0,0,0,0.3"},
+     "gamma2 must have no component on its own axis (found 2.000e-01)"),
+    ("general", {"varsigma2": "2", "gamma1": "1"}, "class general requires --sigma2"),
+    ("onemu", {"sigma2": "1", "varsigma2": "nan", "omega": "1,2,3", "gamma3": "0"},
+     "class onemu does not take --gamma3"),
+])
+def test_params_from_args_messages(tag, flags, message):
+    assert generate_params_reference(tag, flags) == message
+    assert _params_outcome(tag, flags, STANDARD_BASIS) == message

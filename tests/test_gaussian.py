@@ -236,6 +236,29 @@ def test_invalid_face_raises_whichever_face_it_goes_to():
     assert str(to_complex.value) == str(to_real.value)
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("source, to", [(s, t) for s in FACES for t in FACES
+                                        if s != t])
+def test_convert_rejects_non_finite_face(source, to, bad):
+    # NaN fails every comparison, so a residual bound alone lets it through
+    valid = _reference_faces(np.random.default_rng(3), STANDARD_BASIS)[source]
+    m = valid.matrix.copy()
+    m[(0, 1) + (0,) * (m.ndim - 2)] = bad
+    with pytest.raises(ValueError, match=f"not a valid {source}-face "
+                                         r"covariance \(non-finite entry\)"):
+        convert(type(valid)(m, STANDARD_BASIS), to)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("to", ["real", "complex"])
+def test_convert_rejects_face_whose_real_face_overflows(to):
+    # finite entries whose sum for S is beyond the largest float
+    h = convert(CovarianceR(np.eye(4) / 4), "quaternion").matrix * 1.7e308
+    with pytest.raises(ValueError, match="its real face overflows"):
+        convert(CovarianceH(h, STANDARD_BASIS), to)
+
+
 def test_quaternion_face_diagonal_is_total_variance():
     faces = covariance_from_params(all_class_params()["muone"])
     s2 = np.trace(faces.r.matrix)
@@ -579,3 +602,30 @@ def test_covariance_faces_serialize(tmp_path):
     assert np.allclose(data["r"]["matrix"], faces.r.matrix)
     assert np.array(data["h"]["matrix"]).shape == (4, 4, 4)
     assert data["c"]["face"] == "complex"
+
+
+EXPECTED_PARAM_DICTS = {
+    "hproper": {"sigma2": 1.0},
+    "mumu": {"sigma2": 1.0, "alpha": [0.3, 0.1], "delta": 0.2},
+    "muone": {"sigma2": 1.0, "varsigma2": 2.0, "omega": [0.5, 0.3]},
+    "onemu": {"sigma2": 1.0, "varsigma2": 2.0, "omega": [0.5, 0.3]},
+    "musame": {"sigma2": 1.0, "varsigma2": 1.5, "alpha": [0.2, 0.1],
+               "delta": [-0.1, 0.3]},
+    "general": {"sigma2": 1.0, "gamma1": [0.10, 0.0, 0.15, 0.05],
+                "gamma2": [0.08, 0.12, 0.0, -0.06],
+                "gamma3": [-0.05, 0.07, 0.04, 0.0]},
+}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2], ids=["standard", "rand0",
+                                                        "rand1", "rand2"])
+def test_param_dict_writes_each_field_in_its_json_form(seed):
+    basis = STANDARD_BASIS if seed is None else rand_basis(np.random.default_rng(seed))
+    for tag, params in all_class_params(basis).items():
+        got, want = params.param_dict(), EXPECTED_PARAM_DICTS[tag]
+        assert list(got) == list(want), tag
+        for name, value in want.items():
+            assert type(got[name]) is type(value), (tag, name)
+            assert np.allclose(got[name], value, rtol=0.0, atol=1e-12), (tag, name)
+        if seed is None:
+            assert got == want

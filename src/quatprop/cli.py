@@ -12,12 +12,14 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import estimation
 from .core import PureUnit, Quaternion, validate_basis
 from .gaussian import (ClassParams, PropernessTag, covariance_from_params,
-                       read_sample_csv, sample, write_sample_csv)
+                       read_sample_csv, sample, write_column_csvs,
+                       write_sample_csv)
 from .rotations import double_rotation
 
 DEFAULT_N = 50_000
@@ -131,6 +133,16 @@ def _read_csv(path):
         raise DataError(f"{path}: {exc}") from None
 
 
+@contextmanager
+def _writing(path):
+    """Report an OSError raised while writing path as a data error naming
+    the file the system refused (path when the error names none)."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {exc.filename or path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -148,8 +160,9 @@ def cmd_generate(args) -> int:
     draws = sample(faces.r, args.n, args.seed, basis=basis,
                    class_tag=params.tag.value, params=params.param_dict())
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    draws.save(out, out.with_suffix(".json"))
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        draws.save(out, out.with_suffix(".json"))
     print(f"wrote {draws.n} draws to {out}", file=sys.stderr)
     return 0
 
@@ -182,13 +195,15 @@ def cmd_project(args) -> int:
     data = _read_csv(args.input)
     pairs = ("i", "j", "k") if args.pairs == "all" else (args.pairs,)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
-    for pair in pairs:
-        for (cols, header), name in zip(_PAIRINGS[pair], _PAIR_NAMES[pair]):
-            path = out_dir / f"{stem}_{name}.csv"
-            write_sample_csv(path, data[:, list(cols)], header=header)
-            print(f"wrote {path}", file=sys.stderr)
+    outputs = [(out_dir / f"{stem}_{name}.csv", cols, header)
+               for pair in pairs
+               for (cols, header), name in zip(_PAIRINGS[pair], _PAIR_NAMES[pair])]
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_column_csvs(data, outputs)
+    for path, _, _ in outputs:
+        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
@@ -198,8 +213,9 @@ def cmd_rotate(args) -> int:
     v = _parse_unit_quaternion(args.v, "--v")
     rotated = double_rotation(u, v).apply_rows(data)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_sample_csv(out, rotated)
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_sample_csv(out, rotated)
     print(f"wrote {rotated.shape[0]} rotated draws to {out}", file=sys.stderr)
     return 0
 

@@ -23,9 +23,11 @@ complex face; those patterns are constructed here from the class's moment
 constraints and mapped exactly onto the other faces through S.
 """
 
+import cmath
 import json
 import math
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import ClassVar, NamedTuple, Optional
@@ -60,6 +62,14 @@ class _ParamsBase:
     field's type (float, complex or Quaternion) says how it is written out
     and how the command line parses it. This module does not postpone
     annotations, so a field's type is the class itself, not a string."""
+
+    def __post_init__(self):
+        for name, kind in self.param_fields():
+            value = getattr(self, name)
+            parts = ((value.a, value.b, value.c, value.d) if kind is Quaternion
+                     else (value,))
+            if not all(map(cmath.isfinite, parts)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     @classmethod
     def param_fields(cls):
@@ -164,6 +174,7 @@ class GeneralParams(_ParamsBase):
     tag: ClassVar[PropernessTag] = PropernessTag.GENERAL
 
     def __post_init__(self):
+        super().__post_init__()
         for idx, g in ((1, self.gamma1), (2, self.gamma2), (3, self.gamma3)):
             coord = self.basis.to_coords(g)[idx]
             if abs(coord) > ATOL:
@@ -459,8 +470,11 @@ class SampleSet:
                 fh.write("\n")
 
 
-# Rows formatted by one string operation in write_sample_csv; a fixed block
-# keeps the writer's memory constant in the number of rows.
+# Every value of a sample CSV: 17 significant digits, which read back exactly.
+_CSV_VALUE = "%.17g"
+
+# Rows formatted by one string operation in the writers; a fixed block keeps
+# their memory constant in the number of rows.
 _CSV_BLOCK_ROWS = 1024
 
 # Characters on which np.loadtxt and float() agree field by field (the text
@@ -474,12 +488,41 @@ def write_sample_csv(path, rows: np.ndarray, header: str = "a,b,c,d"):
     """CSV with the given header, every value as "%.17g" (17 significant
     digits, which read back exactly) and LF line endings."""
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    line = ",".join([_CSV_VALUE] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
             block = rows[start:start + _CSV_BLOCK_ROWS]
             fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def write_column_csvs(rows: np.ndarray, outputs):
+    """Write several CSVs that each hold some of rows' columns, formatting
+    every value once. outputs is a list of (path, columns, header); each
+    file equals write_sample_csv(path, rows[:, columns], header) byte for
+    byte. Every file is opened, in the order given, before any row is
+    formatted."""
+    rows = np.asarray(rows, dtype=float)
+    n, m = rows.shape
+    with ExitStack() as stack:
+        files = []
+        for path, columns, header in outputs:
+            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+            fh.write(header + "\n")
+            files.append((fh, columns, ",".join(["%s"] * len(columns)) + "\n"))
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            k = block.shape[0]
+            # column-major, so each column's k strings are one slice
+            text = ((_CSV_VALUE + "\n") * (k * m)) % tuple(block.T.ravel().tolist())
+            values = text.split("\n")
+            by_column = [values[j * k:(j + 1) * k] for j in range(m)]
+            for fh, columns, line in files:
+                w = len(columns)
+                cells = [None] * (k * w)
+                for i, j in enumerate(columns):
+                    cells[i::w] = by_column[j]
+                fh.write((line * k) % tuple(cells))
 
 
 def read_sample_csv(path) -> np.ndarray:

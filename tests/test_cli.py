@@ -6,13 +6,17 @@ from argparse import Namespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatprop import (STANDARD_BASIS, PureUnit, cli, read_sample_csv,
                       validate_basis)
 from quatprop.cli import main
 
 from support import (PARAM_FLAG_ORDER, REFERENCE_CLASS_FLAGS,
-                     generate_params_reference, rand_basis)
+                     generate_params_reference, rand_basis,
+                     write_sample_csv_reference)
+from test_gaussian import _EDGE_DOUBLES
 
 
 def run_cli(*argv):
@@ -389,3 +393,79 @@ def test_params_from_args_matches_reference_on_odd_values(tag):
 def test_params_from_args_messages(tag, flags, message):
     assert generate_params_reference(tag, flags) == message
     assert _params_outcome(tag, flags, STANDARD_BASIS) == message
+
+
+# --- project: one formatting pass, per-pair files ---------------------------
+
+# --pairs -> (file suffix, columns, header) of each file, in the order written
+PROJECTIONS = {
+    "i": [("1i", (0, 1), "re,im_i"), ("jk", (2, 3), "im_j,im_k")],
+    "j": [("1j", (0, 2), "re,im_j"), ("ik", (1, 3), "im_i,im_k")],
+    "k": [("1k", (0, 3), "re,im_k"), ("ij", (1, 2), "im_i,im_j")],
+}
+PROJECTIONS["all"] = PROJECTIONS["i"] + PROJECTIONS["j"] + PROJECTIONS["k"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 1023, 1024, 1025, 2049]),
+       st.sampled_from(sorted(PROJECTIONS)), st.integers(0, 2**32 - 1))
+def test_project_files_match_reference_writer(tmp_path_factory, n, pairs, seed):
+    # every finite double is reachable from random bit patterns; the edge
+    # values land at random places among them
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2**64, size=(n, 4), dtype=np.uint64).view(np.float64).copy()
+    x[~np.isfinite(x)] = 1.0
+    flat = x.reshape(-1)
+    flat[rng.integers(0, flat.size, size=len(_EDGE_DOUBLES))] = _EDGE_DOUBLES
+    d = tmp_path_factory.mktemp("project")
+    write_sample_csv_reference(d / "src.csv", x)
+    assert main(["project", str(d / "src.csv"), "--pairs", pairs,
+                 "--out-dir", str(d / "out")]) == 0
+    names = []
+    for suffix, cols, header in PROJECTIONS[pairs]:
+        write_sample_csv_reference(d / "ref.csv", x[:, cols], header=header)
+        got = (d / "out" / f"src_{suffix}.csv").read_bytes()
+        assert got == (d / "ref.csv").read_bytes(), (suffix, n)
+        names.append(f"src_{suffix}.csv")
+    assert sorted(p.name for p in (d / "out").iterdir()) == sorted(names)
+
+
+@pytest.mark.parametrize("pairs", sorted(PROJECTIONS))
+def test_project_reports_each_file_written_in_order(pairs, tmp_path, capsys):
+    src = tmp_path / "draws.csv"
+    run_cli(*gen_args(src, n="20"))
+    capsys.readouterr()
+    out = tmp_path / "planes"
+    assert run_cli("project", str(src), "--pairs", pairs, "--out-dir", str(out)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"wrote {out / f'draws_{suffix}.csv'}" for suffix, _, _ in PROJECTIONS[pairs]]
+
+
+# --- outputs that cannot be written -----------------------------------------
+
+@pytest.mark.parametrize("case", ["generate_under_file", "project_into_file",
+                                  "project_file_is_dir", "rotate_onto_dir"])
+def test_unwritable_output_is_one_line_data_error(case, tmp_path, capsys):
+    src = tmp_path / "draws.csv"
+    run_cli(*gen_args(src, n="10"))
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    planes = tmp_path / "planes"
+    (planes / "draws_1j.csv").mkdir(parents=True)
+    argv, named = {
+        "generate_under_file": (gen_args(regular / "x.csv", n="10"), regular),
+        "project_into_file": (["project", str(src), "--out-dir", str(regular)],
+                              regular),
+        "project_file_is_dir": (["project", str(src), "--out-dir", str(planes)],
+                                planes / "draws_1j.csv"),
+        "rotate_onto_dir": (["rotate", str(src), "--u", "1,0,0,0",
+                             "--v", "1,0,0,0", "--out", str(planes)], planes),
+    }[case]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"data error: cannot write {named}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")

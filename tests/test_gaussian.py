@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,7 +15,8 @@ from quatprop import (ONE, I, J, K, CovarianceC, CovarianceH, CovarianceR,
                       validate_basis, write_sample_csv)
 from quatprop.gaussian import quaternion_face_from_gammas
 
-from support import (all_class_params, complex_to_quaternion_reference,
+from support import (REFERENCE_CLASS_FLAGS, all_class_params,
+                     complex_to_quaternion_reference,
                      convert_reference, cov_r_from_pair_moments,
                      defining_rotations, expected_complex_face, faces_reference,
                      general_params, quaternion_to_real_unchecked, rand_basis,
@@ -629,3 +631,27 @@ def test_param_dict_writes_each_field_in_its_json_form(seed):
             assert np.allclose(got[name], value, rtol=0.0, atol=1e-12), (tag, name)
         if seed is None:
             assert got == want
+
+
+# --- non-finite class parameters ----------------------------------------------
+
+FIELDS = [(tag, name, kind) for tag, flags in sorted(REFERENCE_CLASS_FLAGS.items())
+          for name, kind in flags.items()]
+
+
+def _values_with_one_bad_part(kind, bad):
+    if kind == "real":
+        return [bad]
+    if kind == "complex":
+        return [complex(bad, 0.1), complex(0.1, bad)]
+    return [Quaternion(*[bad if i == k else 0.0 for i in range(4)]) for k in range(4)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("tag, name, kind", FIELDS,
+                         ids=[f"{tag}-{name}" for tag, name, _ in FIELDS])
+def test_params_reject_non_finite_field(tag, name, kind, bad):
+    params = all_class_params()[tag]
+    for value in _values_with_one_bad_part(kind, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            dataclasses.replace(params, **{name: value})

@@ -26,8 +26,10 @@ constraints and mapped exactly onto the other faces through S.
 import cmath
 import json
 import math
+import os
+import stat
 import warnings
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import ClassVar, NamedTuple, Optional
@@ -473,8 +475,8 @@ class SampleSet:
 # Every value of a sample CSV: 17 significant digits, which read back exactly.
 _CSV_VALUE = "%.17g"
 
-# Rows formatted by one string operation in the writers; a fixed block keeps
-# their memory constant in the number of rows.
+# Rows formatted by one string operation in the writer; a fixed block keeps
+# its memory constant in the number of rows.
 _CSV_BLOCK_ROWS = 1024
 
 # Characters on which np.loadtxt and float() agree field by field (the text
@@ -488,12 +490,7 @@ def write_sample_csv(path, rows: np.ndarray, header: str = "a,b,c,d"):
     """CSV with the given header, every value as "%.17g" (17 significant
     digits, which read back exactly) and LF line endings."""
     rows = np.asarray(rows, dtype=float)
-    line = ",".join([_CSV_VALUE] * rows.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+    write_column_csvs(rows, [(path, range(rows.shape[1]), header)])
 
 
 def write_column_csvs(rows: np.ndarray, outputs):
@@ -501,28 +498,52 @@ def write_column_csvs(rows: np.ndarray, outputs):
     every value once. outputs is a list of (path, columns, header); each
     file equals write_sample_csv(path, rows[:, columns], header) byte for
     byte. Every file is opened, in the order given, before any row is
-    formatted."""
+    written, and memory does not grow with the number of rows. If anything
+    fails, the regular files opened here are removed, so none is left
+    holding only some of its rows."""
     rows = np.asarray(rows, dtype=float)
     n, m = rows.shape
-    with ExitStack() as stack:
-        files = []
-        for path, columns, header in outputs:
-            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-            fh.write(header + "\n")
-            files.append((fh, columns, ",".join(["%s"] * len(columns)) + "\n"))
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            k = block.shape[0]
-            # column-major, so each column's k strings are one slice
-            text = ((_CSV_VALUE + "\n") * (k * m)) % tuple(block.T.ravel().tolist())
-            values = text.split("\n")
-            by_column = [values[j * k:(j + 1) * k] for j in range(m)]
-            for fh, columns, line in files:
-                w = len(columns)
-                cells = [None] * (k * w)
-                for i, j in enumerate(columns):
-                    cells[i::w] = by_column[j]
-                fh.write((line * k) % tuple(cells))
+    used = [j for _, columns, _ in outputs for j in columns]
+    # A value that goes to one file is formatted straight into that file's
+    # row template. When files share columns, each block is formatted once,
+    # column-major, and each file's lines interleave its columns' strings.
+    shared = len(used) != len(set(used))
+    cell = "%s" if shared else _CSV_VALUE
+    opened = []
+    try:
+        with ExitStack() as stack:
+            files = []
+            for path, columns, header in outputs:
+                fh = stack.enter_context(open(path, "w", encoding="utf-8",
+                                              newline=""))
+                opened.append(path)
+                fh.write(header + "\n")
+                files.append((fh, list(columns),
+                              ",".join([cell] * len(columns)) + "\n"))
+            for start in range(0, n, _CSV_BLOCK_ROWS):
+                block = rows[start:start + _CSV_BLOCK_ROWS]
+                k = block.shape[0]
+                if shared:
+                    # column-major, so each column's k strings are one slice
+                    text = (((_CSV_VALUE + "\n") * (k * m))
+                            % tuple(block.T.ravel().tolist()))
+                    values = text.split("\n")
+                    by_column = [values[j * k:(j + 1) * k] for j in range(m)]
+                for fh, columns, line in files:
+                    if shared:
+                        w = len(columns)
+                        cells = [None] * (k * w)
+                        for i, j in enumerate(columns):
+                            cells[i::w] = by_column[j]
+                    else:
+                        cells = block[:, columns].ravel().tolist()
+                    fh.write((line * k) % tuple(cells))
+    except BaseException:
+        for path in opened:
+            with suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
+        raise
 
 
 def read_sample_csv(path) -> np.ndarray:

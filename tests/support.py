@@ -277,6 +277,11 @@ def faces_reference(params):
     return c, convert_reference(h, "real"), h
 
 
+# Doubles a CSV writer must get right: negative zero, the smallest subnormal
+# and the largest finite values.
+EDGE_DOUBLES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
 def write_sample_csv_reference(path, rows, header="a,b,c,d"):
     """Reference sample CSV writer, one format(v, ".17g") per value; the
     package's block writer must match its output byte for byte."""

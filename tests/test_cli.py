@@ -13,10 +13,9 @@ from quatprop import (STANDARD_BASIS, PureUnit, cli, read_sample_csv,
                       validate_basis)
 from quatprop.cli import main
 
-from support import (PARAM_FLAG_ORDER, REFERENCE_CLASS_FLAGS,
+from support import (EDGE_DOUBLES, PARAM_FLAG_ORDER, REFERENCE_CLASS_FLAGS,
                      generate_params_reference, rand_basis,
                      write_sample_csv_reference)
-from test_gaussian import _EDGE_DOUBLES
 
 
 def run_cli(*argv):
@@ -416,7 +415,7 @@ def test_project_files_match_reference_writer(tmp_path_factory, n, pairs, seed):
     x = rng.integers(0, 2**64, size=(n, 4), dtype=np.uint64).view(np.float64).copy()
     x[~np.isfinite(x)] = 1.0
     flat = x.reshape(-1)
-    flat[rng.integers(0, flat.size, size=len(_EDGE_DOUBLES))] = _EDGE_DOUBLES
+    flat[rng.integers(0, flat.size, size=len(EDGE_DOUBLES))] = EDGE_DOUBLES
     d = tmp_path_factory.mktemp("project")
     write_sample_csv_reference(d / "src.csv", x)
     assert main(["project", str(d / "src.csv"), "--pairs", pairs,
@@ -469,3 +468,7 @@ def test_unwritable_output_is_one_line_data_error(case, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"data error: cannot write {named}: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    if case == "project_file_is_dir":
+        # draws_1i.csv and draws_jk.csv, opened before draws_1j.csv failed,
+        # are removed rather than left holding only their headers
+        assert [p.name for p in planes.iterdir()] == ["draws_1j.csv"]

@@ -13,9 +13,10 @@ from quatprop import (ONE, I, J, K, CovarianceC, CovarianceH, CovarianceR,
                       convert, covariance_from_params, double_rotation,
                       gaussian_pdf, pdf_1mu_proper, read_sample_csv, sample,
                       validate_basis, write_sample_csv)
-from quatprop.gaussian import quaternion_face_from_gammas
+from quatprop.gaussian import quaternion_face_from_gammas, write_column_csvs
 
-from support import (REFERENCE_CLASS_FLAGS, all_class_params,
+from support import (EDGE_DOUBLES as _EDGE_DOUBLES, REFERENCE_CLASS_FLAGS,
+                     all_class_params,
                      complex_to_quaternion_reference,
                      convert_reference, cov_r_from_pair_moments,
                      defining_rotations, expected_complex_face, faces_reference,
@@ -515,9 +516,6 @@ def test_sample_csv_round_trip(tmp_path):
     assert meta["seed"] == 4 and meta["n"] == 50
 
 
-_EDGE_DOUBLES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([1, 1023, 1024, 1025, 2049]), st.sampled_from([2, 4]),
        st.integers(0, 2**32 - 1),
@@ -655,3 +653,22 @@ def test_params_reject_non_finite_field(tag, name, kind, bad):
     for value in _values_with_one_bad_part(kind, bad):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
             dataclasses.replace(params, **{name: value})
+
+
+# --- a CSV write that fails -----------------------------------------------------
+
+@pytest.mark.parametrize("second", [(2, 3), (0, 1)], ids=["disjoint", "shared"])
+@pytest.mark.parametrize("fault", ["open", "write"])
+def test_failed_column_csvs_leave_no_partial_file(tmp_path, second, fault):
+    # "open": the second file is a directory; "write": a column index out of
+    # range fails after both files are open and hold their headers
+    x = np.arange(8.0).reshape(2, 4)
+    if fault == "open":
+        (tmp_path / "b.csv").mkdir()
+    else:
+        second = second + (4,)
+    with pytest.raises(IsADirectoryError if fault == "open" else IndexError):
+        write_column_csvs(x, [(tmp_path / "a.csv", (0, 1), "re,im_i"),
+                              (tmp_path / "b.csv", second, "x,y,z")])
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert left == (["b.csv"] if fault == "open" else [])

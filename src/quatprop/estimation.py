@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ONE, Quaternion, QuaternionBasis
-from .gaussian import (CovarianceR, PropernessTag, convert,
+from .gaussian import (CovarianceR, PropernessTag, _real_face, convert,
                        quaternion_face_from_gammas, quaternion_face_map)
-from .rotations import double_rotation
+from .rotations import double_rotation, left_matrices, right_matrices
 
 
 def _as_rows(samples) -> np.ndarray:
@@ -102,20 +102,23 @@ def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
     return gh, convert(gr, "complex"), gr
 
 
-def _rotation_defect(s: np.ndarray, u: Quaternion, v: Quaternion) -> np.ndarray:
-    """M S M^T - S for the rotation matrix M of q -> u*q*v: zero exactly
-    when the rotation leaves the covariance S fixed."""
-    m = double_rotation(u, v).matrix
-    return m @ s @ m.T - s
+def _rotation_defects(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """M S M^T - S for each rotation matrix M of a (..., 4, 4) stack: zero
+    exactly when the rotation leaves the covariance S fixed."""
+    return m @ s @ np.swapaxes(m, -1, -2) - s
 
 
 def symmetry_residual(cov: CovarianceR, u: Quaternion, v: Quaternion) -> float:
-    """Relative Frobenius defect of the covariance under the rotation (u, v)."""
-    g = np.asarray(cov.matrix, dtype=float)
+    """Relative Frobenius defect of the covariance under the rotation (u, v).
+
+    A covariance with a non-finite entry raises ValueError.
+    """
+    g = np.asarray(_real_face(cov), dtype=float)
     scale = float(np.linalg.norm(g))
     if scale == 0.0:
         raise ValueError("zero covariance has no symmetry residual")
-    return float(np.linalg.norm(_rotation_defect(g, u, v)) / scale)
+    m = double_rotation(u, v).matrix
+    return float(np.linalg.norm(_rotation_defects(g, m)) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +195,18 @@ def axis_name(mu: Quaternion) -> str:
 
 # candidate tiers in a fixed policy order, hproper, pair rotations, one-sided
 # rotations, which is not by fixed-space dimension (6 for a pair, 4 for a
-# one-sided rotation); ties inside a tier go to the smaller residual
-_TIER_MU_PAIRS = [(i, j) for i in range(3) for j in range(3) if i != j]
+# one-sided rotation); ties inside a tier go to the smaller residual. A
+# rotation candidate q -> u*q*v is (tag, axis indices, u, v), with u and v
+# a basis axis (0-2) or 1 (3): the pair tier is the first 9.
+_ROTATION_CANDIDATES = (
+    [(PropernessTag.MU_MU, (i, j), i, j)
+     for i in range(3) for j in range(3) if i != j]
+    + [(PropernessTag.MU_SAME, (i,), i, i) for i in range(3)]
+    + [(PropernessTag.MU_ONE, (i,), i, 3) for i in range(3)]
+    + [(PropernessTag.ONE_MU, (i,), 3, i) for i in range(3)]
+)
+_ROTATION_U = [u for _, _, u, _ in _ROTATION_CANDIDATES]
+_ROTATION_V = [v for _, _, _, v in _ROTATION_CANDIDATES]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -222,26 +235,17 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
     tol = c / math.sqrt(n)
 
     h_resid = max(g.modulus() for g in cc.gammas) / cc.sigma2
-    one = ONE
-
-    def rot_residual(u, v):
-        return float(np.abs(_rotation_defect(s, u, v)).max() / cc.sigma2)
+    # the axes normalised as double_rotation does, then 1, with L(1) = R(1)
+    # = I: every candidate's M = L(u) R(v), and its defect, in one stack
+    units = [(mu / mu.modulus()).to_vec() for mu in basis.axes] + [ONE.to_vec()]
+    m = left_matrices(units)[_ROTATION_U] @ right_matrices(units)[_ROTATION_V]
+    residuals = (np.abs(_rotation_defects(s, m)).max(axis=(-2, -1))
+                 / cc.sigma2).tolist()
+    rotations = [Candidate(tag, axes, r) for (tag, axes, _, _), r
+                 in zip(_ROTATION_CANDIDATES, residuals)]
 
     tier_top = [Candidate(PropernessTag.H_PROPER, (), h_resid)]
-    tier_pair = (
-        [Candidate(PropernessTag.MU_MU, (i, j),
-                   rot_residual(basis.axes[i], basis.axes[j]))
-         for i, j in _TIER_MU_PAIRS]
-        + [Candidate(PropernessTag.MU_SAME, (i,),
-                     rot_residual(basis.axes[i], basis.axes[i]))
-           for i in range(3)]
-    )
-    tier_single = (
-        [Candidate(PropernessTag.MU_ONE, (i,), rot_residual(basis.axes[i], one))
-         for i in range(3)]
-        + [Candidate(PropernessTag.ONE_MU, (i,), rot_residual(one, basis.axes[i]))
-           for i in range(3)]
-    )
+    tier_pair, tier_single = rotations[:9], rotations[9:]
     fallback = Candidate(PropernessTag.GENERAL, (), 0.0)
 
     chosen = fallback

@@ -32,6 +32,7 @@ import warnings
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import lru_cache
 from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
@@ -256,21 +257,6 @@ _PAIR = np.array([[1, 1j, 0, 0], [1, -1j, 0, 0],
                   [0, 0, 1, 1j], [0, 0, 1, -1j]])
 
 
-def involution_stack(basis: QuaternionBasis) -> np.ndarray:
-    """The quaternion matrix T with (q, q^mu1, q^mu2, q^mu3) = T q_vec.
-
-    Row r holds the involutions of the four standard unit quaternions about
-    the r-th basis axis (row 0 is the identity), so the map is assembled from
-    the involution operation itself rather than transcribed constants.
-    """
-    units = np.eye(4)
-    T = np.empty((4, 4, 4))
-    T[0] = units
-    for r, mu in enumerate(basis.axes, start=1):
-        T[r] = qarray.involution(units, mu.to_vec())
-    return T
-
-
 def quaternion_face_map(basis: QuaternionBasis) -> np.ndarray:
     """K with K[r, s, a, b] = e_a^mu_r (e_b^mu_s)*, a (4, 4, 4, 4, 4) array
     whose last axis holds quaternion components.
@@ -278,9 +264,28 @@ def quaternion_face_map(basis: QuaternionBasis) -> np.ndarray:
     The quaternion face of S is sum_ab S_ab K[:, :, a, b]; summed over
     (r, s, components), K^T K = 16 I on real 4x4 matrices, so K^T / 16
     inverts it.
+
+    K is built once per basis: the maps of the few bases used most recently
+    are kept, keyed by the exact bytes of the basis frame, so two bases
+    share a K only when their components are bit-identical. K is read-only.
     """
-    T = involution_stack(basis)
-    return qarray.mul(T[:, None, :, None, :], qarray.conj(T[None, :, None, :, :]))
+    return _face_map(basis.frame.tobytes())
+
+
+# A process may hold many basis objects, most of them equal, and a K takes
+# 8 KiB, so K lives in this small memo rather than on each basis.
+@lru_cache(maxsize=8)
+def _face_map(frame_bytes: bytes) -> np.ndarray:
+    # (q, q^mu1, q^mu2, q^mu3) = T q_vec: row r of T holds the involutions of
+    # the four standard units about mu_r, column r of the frame (row 0 is the
+    # identity), assembled from the involution operation itself
+    frame = np.frombuffer(frame_bytes).reshape(4, 4)
+    units = np.eye(4)
+    T = np.array([units] + [qarray.involution(units, frame[:, r])
+                            for r in range(1, 4)])
+    K = qarray.mul(T[:, None, :, None, :], qarray.conj(T[None, :, None, :, :]))
+    K.flags.writeable = False
+    return K
 
 
 def _valid_real(s: np.ndarray, residual: float, face: str) -> np.ndarray:
@@ -465,11 +470,22 @@ class SampleSet:
         return meta
 
     def save(self, csv_path, meta_path=None):
+        """Write the draws as a sample CSV and, given meta_path, the metadata
+        as a JSON sidecar. If the sidecar cannot be written, the CSV and any
+        partial sidecar are removed, so no CSV is left without its
+        metadata."""
         write_sample_csv(csv_path, self.data)
-        if meta_path is not None:
+        if meta_path is None:
+            return
+        written = [csv_path]
+        try:
             with open(meta_path, "w", encoding="utf-8") as fh:
+                written.append(meta_path)
                 json.dump(self.metadata_dict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
+        except BaseException:
+            _remove_regular_files(written)
+            raise
 
 
 # Every value of a sample CSV: 17 significant digits, which read back exactly.
@@ -539,11 +555,17 @@ def write_column_csvs(rows: np.ndarray, outputs):
                         cells = block[:, columns].ravel().tolist()
                     fh.write((line * k) % tuple(cells))
     except BaseException:
-        for path in opened:
-            with suppress(OSError):
-                if stat.S_ISREG(os.lstat(path).st_mode):
-                    os.remove(path)
+        _remove_regular_files(opened)
         raise
+
+
+def _remove_regular_files(paths):
+    """Remove each path that is a regular file, ignoring any that cannot be
+    removed; a directory or device in the way is left alone."""
+    for path in paths:
+        with suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
 
 
 def read_sample_csv(path) -> np.ndarray:

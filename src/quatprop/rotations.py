@@ -19,12 +19,26 @@ from .core import ATOL, Quaternion, euler_form
 
 def left_matrix(q: Quaternion) -> np.ndarray:
     """Matrix of p -> q*p acting on component vectors: column j is q*e_j."""
-    return np.array(qarray.hamilton(q.a, q.b, q.c, q.d, *np.eye(4)))
+    return left_matrices(q.to_vec())
 
 
 def right_matrix(q: Quaternion) -> np.ndarray:
     """Matrix of p -> p*q acting on component vectors: column j is e_j*q."""
-    return np.array(qarray.hamilton(*np.eye(4), q.a, q.b, q.c, q.d))
+    return right_matrices(q.to_vec())
+
+
+def left_matrices(q) -> np.ndarray:
+    """left_matrix of each component vector in a (..., 4) array, stacked
+    into a (..., 4, 4) array."""
+    q = np.asarray(q, dtype=float)[..., None]
+    return np.stack(qarray.hamilton(*np.moveaxis(q, -2, 0), *np.eye(4)), axis=-2)
+
+
+def right_matrices(q) -> np.ndarray:
+    """right_matrix of each component vector in a (..., 4) array, stacked
+    into a (..., 4, 4) array."""
+    q = np.asarray(q, dtype=float)[..., None]
+    return np.stack(qarray.hamilton(*np.eye(4), *np.moveaxis(q, -2, 0)), axis=-2)
 
 
 class So4Check(NamedTuple):

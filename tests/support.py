@@ -7,8 +7,8 @@ import numpy as np
 
 from quatprop import (ATOL, CovarianceC, CovarianceH, CovarianceR, GeneralParams,
                       HProperParams, MuMuParams, MuOneParams, MuSameParams,
-                      OneMuParams, PureUnit, Quaternion, STANDARD_BASIS, qarray,
-                      validate_basis)
+                      OneMuParams, PureUnit, Quaternion, STANDARD_BASIS,
+                      double_rotation, qarray, validate_basis)
 from quatprop.gaussian import quaternion_face_from_gammas
 
 
@@ -159,6 +159,42 @@ def per_sample_moments(x, basis, center=False):
     return sigma2, gammas
 
 
+def classify_reference(x, basis, c, center=False):
+    """Reference for classify's scores and choice, one double_rotation
+    matrix per candidate: the 16 (label, residual) pairs in report order and
+    the chosen label. Residuals are max-abs defects M S M^T - S over sigma2,
+    with hproper scored by max |gamma_r| / sigma2 and general by 0."""
+    x = np.asarray(x, dtype=float)
+    if center:
+        x = x - x.mean(axis=0)
+    s = x.T @ x / x.shape[0]
+    sigma2 = float(np.trace(s))
+    _, gammas = per_sample_moments(x, basis)
+    one = Quaternion(1.0, 0.0, 0.0, 0.0)
+    ax = basis.axes
+
+    def rotation(tag, axes, u, v):
+        m = double_rotation(u, v).matrix
+        return (tag, axes), float(np.abs(m @ s @ m.T - s).max() / sigma2)
+
+    tiers = [
+        [(("hproper", ()), max(g.modulus() for g in gammas) / sigma2)],
+        [rotation("mumu", (i, j), ax[i], ax[j])
+         for i in range(3) for j in range(3) if i != j]
+        + [rotation("musame", (i,), ax[i], ax[i]) for i in range(3)],
+        [rotation("muone", (i,), ax[i], one) for i in range(3)]
+        + [rotation("onemu", (i,), one, ax[i]) for i in range(3)],
+    ]
+    tol = c / math.sqrt(x.shape[0])
+    chosen = ("general", ())
+    for tier in tiers:
+        passing = [cand for cand in tier if cand[1] < tol]
+        if passing:
+            chosen = min(passing, key=lambda cand: cand[1])[0]
+            break
+    return [cand for tier in tiers for cand in tier] + [(("general", ()), 0.0)], chosen
+
+
 # --- reference face conversions ---------------------------------------------
 # The quaternion-matrix route: products of 4x4 quaternion matrices, one
 # qarray.mul per term. The package maps every face through the real face S
@@ -194,6 +230,12 @@ def _complex_projection(basis):
         [zero, zero, -m2, m2],
         [-m2, m2, zero, zero],
     ])
+
+
+def quaternion_face_map_reference(basis):
+    """K[r, s, a, b] = e_a^mu_r (e_b^mu_s)*, built afresh by one qarray.mul."""
+    T = _involution_stack(basis)
+    return qarray.mul(T[:, None, :, None, :], qarray.conj(T[None, :, None, :, :]))
 
 
 def real_to_quaternion_reference(gr, basis):

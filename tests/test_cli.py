@@ -472,3 +472,15 @@ def test_unwritable_output_is_one_line_data_error(case, tmp_path, capsys):
         # draws_1i.csv and draws_jk.csv, opened before draws_1j.csv failed,
         # are removed rather than left holding only their headers
         assert [p.name for p in planes.iterdir()] == ["draws_1j.csv"]
+
+
+def test_generate_sidecar_failure_leaves_no_csv(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "d.json").mkdir(parents=True)
+    capsys.readouterr()
+    assert run_cli(*gen_args(out / "d.csv", n="10")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"data error: cannot write {out / 'd.json'}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert [p.name for p in out.iterdir()] == ["d.json"]

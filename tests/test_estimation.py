@@ -12,8 +12,8 @@ from quatprop import (ONE, I, J, K, Candidate, CovarianceR, HProperParams,
 from quatprop.estimation import ComplementaryCovariances, axis_name
 from quatprop.gaussian import quaternion_face_from_gammas
 
-from support import (all_class_params, defining_rotations, general_params,
-                     per_sample_moments, rand_basis)
+from support import (all_class_params, classify_reference, defining_rotations,
+                     general_params, per_sample_moments, rand_basis)
 
 
 def test_two_real_unit_draws():
@@ -311,3 +311,41 @@ def test_classify_in_nonstandard_basis():
     report = classify(sample(faces.r, 50_000, seed=18).data, basis)
     assert report.chosen.tag is PropernessTag.MU_MU
     assert report.chosen.axis_indices == (0, 1)
+
+
+# --- all rotation candidates scored in one stack ------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["hproper", "mumu", "muone", "onemu", "musame",
+                        "general", "raw"]),
+       st.booleans())
+def test_classify_matches_per_candidate_rotation_reference(seed, tag, center):
+    # draws of every class, so that each tier gets chosen, and raw normal
+    # rows with unequal scales and a mean
+    rng = np.random.default_rng(seed)
+    basis = STANDARD_BASIS if seed % 5 == 0 else rand_basis(rng)
+    n = int(rng.integers(100, 3000))
+    if tag == "raw":
+        x = rng.normal(size=(n, 4)) * rng.uniform(0.1, 3.0, size=4) + rng.normal(size=4)
+    else:
+        faces = covariance_from_params(all_class_params(basis)[tag])
+        x = sample(faces.r, n, seed=seed).data
+    c = float(rng.uniform(0.5, 10.0))
+    report = classify(x, basis, c=c, center=center)
+    scores, chosen = classify_reference(x, basis, c, center)
+    assert [(cand.tag.value, cand.axis_indices) for cand in report.candidates] == [
+        key for key, _ in scores]
+    for cand, (_, residual) in zip(report.candidates, scores):
+        assert abs(cand.residual - residual) <= 1e-14, cand
+    assert (report.chosen.tag.value, report.chosen.axis_indices) == chosen
+
+
+def test_symmetry_residual_rejects_non_finite_covariance():
+    for bad in (np.nan, np.inf):
+        g = np.eye(4)
+        g[1, 2] = g[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite entry"):
+            symmetry_residual(CovarianceR(g), ONE, I)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        symmetry_residual(CovarianceR(np.full((4, 4), np.nan)), ONE, I)

@@ -13,14 +13,17 @@ from quatprop import (ONE, I, J, K, CovarianceC, CovarianceH, CovarianceR,
                       convert, covariance_from_params, double_rotation,
                       gaussian_pdf, pdf_1mu_proper, read_sample_csv, sample,
                       validate_basis, write_sample_csv)
-from quatprop.gaussian import quaternion_face_from_gammas, write_column_csvs
+from quatprop import PureUnit, gaussian
+from quatprop.gaussian import (SampleSet, quaternion_face_from_gammas,
+                               quaternion_face_map, write_column_csvs)
 
 from support import (EDGE_DOUBLES as _EDGE_DOUBLES, REFERENCE_CLASS_FLAGS,
                      all_class_params,
                      complex_to_quaternion_reference,
                      convert_reference, cov_r_from_pair_moments,
                      defining_rotations, expected_complex_face, faces_reference,
-                     general_params, quaternion_to_real_unchecked, rand_basis,
+                     general_params, quaternion_face_map_reference,
+                     quaternion_to_real_unchecked, rand_basis,
                      rand_quaternion, read_sample_csv_reference,
                      real_to_quaternion_reference, write_sample_csv_reference)
 
@@ -672,3 +675,64 @@ def test_failed_column_csvs_leave_no_partial_file(tmp_path, second, fault):
                               (tmp_path / "b.csv", second, "x,y,z")])
     left = sorted(p.name for p in tmp_path.iterdir())
     assert left == (["b.csv"] if fault == "open" else [])
+
+
+def test_failed_sidecar_leaves_no_csv(tmp_path):
+    # the sidecar is opened, then json fails on a value it cannot write
+    draws = SampleSet(np.ones((3, 4)), seed=0, params={"bad": object()})
+    with pytest.raises(TypeError):
+        draws.save(tmp_path / "d.csv", tmp_path / "d.json")
+    assert list(tmp_path.iterdir()) == []
+    # the sidecar cannot be opened: the directory in its place stays
+    (tmp_path / "d.json").mkdir()
+    with pytest.raises(IsADirectoryError):
+        SampleSet(np.ones((3, 4)), seed=0).save(tmp_path / "d.csv",
+                                                tmp_path / "d.json")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+
+
+# --- the quaternion-face map, built once per basis ---------------------------
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_memoised_face_map_equals_fresh_build(seed):
+    basis = rand_basis(np.random.default_rng(seed))
+    for _ in range(2):  # built, then from the memo
+        assert _same_bits(quaternion_face_map(basis),
+                          quaternion_face_map_reference(basis))
+
+
+def test_face_map_tells_signed_zero_axes_apart():
+    # equal as numbers, so only the frame bits tell the two bases apart
+    plus = validate_basis(PureUnit(0.0, 1.0, 0.0), PureUnit(0.0, 0.0, 1.0))
+    minus = validate_basis(PureUnit(-0.0, 1.0, 0.0), PureUnit(0.0, 0.0, 1.0))
+    assert np.array_equal(plus.frame, minus.frame)
+    fresh = [quaternion_face_map_reference(b) for b in (plus, minus)]
+    assert not _same_bits(*fresh)
+    for basis, ref in zip((plus, minus, plus, minus), fresh * 2):
+        assert _same_bits(quaternion_face_map(basis), ref)
+
+
+def test_face_map_is_read_only():
+    K = quaternion_face_map(STANDARD_BASIS)
+    with pytest.raises(ValueError, match="read-only"):
+        K[0, 0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        K += 1.0
+
+
+def test_face_map_memo_stays_bounded():
+    rng = np.random.default_rng(20)
+    bases = [rand_basis(rng) for _ in range(20)]
+    first = quaternion_face_map(bases[0])
+    for basis in bases:
+        assert quaternion_face_map(basis) is quaternion_face_map(basis)
+    info = gaussian._face_map.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+    # the first basis was evicted, so its map is built again
+    again = quaternion_face_map(bases[0])
+    assert again is not first and _same_bits(again, first)

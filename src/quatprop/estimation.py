@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ONE, Quaternion, QuaternionBasis
-from .gaussian import (CovarianceR, PropernessTag, _real_face, convert,
+from .gaussian import (CovarianceR, PropernessTag, convert,
                        quaternion_face_from_gammas, quaternion_face_map)
-from .rotations import double_rotation, left_matrices, right_matrices
+from .rotations import double_rotation, rotation_matrices, unit_factor
 
 
 def _as_rows(samples) -> np.ndarray:
@@ -113,7 +113,10 @@ def symmetry_residual(cov: CovarianceR, u: Quaternion, v: Quaternion) -> float:
 
     A covariance with a non-finite entry raises ValueError.
     """
-    g = np.asarray(_real_face(cov), dtype=float)
+    g = np.asarray(cov.matrix, dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError("matrix is not a valid real-face covariance "
+                         "(non-finite entry)")
     scale = float(np.linalg.norm(g))
     if scale == 0.0:
         raise ValueError("zero covariance has no symmetry residual")
@@ -235,10 +238,10 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
     tol = c / math.sqrt(n)
 
     h_resid = max(g.modulus() for g in cc.gammas) / cc.sigma2
-    # the axes normalised as double_rotation does, then 1, with L(1) = R(1)
-    # = I: every candidate's M = L(u) R(v), and its defect, in one stack
-    units = [(mu / mu.modulus()).to_vec() for mu in basis.axes] + [ONE.to_vec()]
-    m = left_matrices(units)[_ROTATION_U] @ right_matrices(units)[_ROTATION_V]
+    # the factors of every candidate made unit as double_rotation makes
+    # them, then every M = L(u) R(v), and its defect, in one stack
+    units = np.array([unit_factor(q).to_vec() for q in (*basis.axes, ONE)])
+    m = rotation_matrices(units[_ROTATION_U], units[_ROTATION_V])
     residuals = (np.abs(_rotation_defects(s, m)).max(axis=(-2, -1))
                  / cc.sigma2).tolist()
     rotations = [Candidate(tag, axes, r) for (tag, axes, _, _), r

@@ -30,15 +30,21 @@ def right_matrix(q: Quaternion) -> np.ndarray:
 def left_matrices(q) -> np.ndarray:
     """left_matrix of each component vector in a (..., 4) array, stacked
     into a (..., 4, 4) array."""
-    q = np.asarray(q, dtype=float)[..., None]
-    return np.stack(qarray.hamilton(*np.moveaxis(q, -2, 0), *np.eye(4)), axis=-2)
+    q = np.asarray(q, dtype=float)[..., None, :]
+    return np.swapaxes(qarray.mul(q, np.eye(4)), -1, -2)
 
 
 def right_matrices(q) -> np.ndarray:
     """right_matrix of each component vector in a (..., 4) array, stacked
     into a (..., 4, 4) array."""
-    q = np.asarray(q, dtype=float)[..., None]
-    return np.stack(qarray.hamilton(*np.eye(4), *np.moveaxis(q, -2, 0)), axis=-2)
+    q = np.asarray(q, dtype=float)[..., None, :]
+    return np.swapaxes(qarray.mul(np.eye(4), q), -1, -2)
+
+
+def rotation_matrices(u, v) -> np.ndarray:
+    """L(u) R(v), the matrix of q -> u*q*v, for each pair of rows of two
+    (..., 4) arrays of component vectors, stacked into a (..., 4, 4) array."""
+    return left_matrices(u) @ right_matrices(v)
 
 
 class So4Check(NamedTuple):
@@ -65,7 +71,7 @@ class DoubleRotation:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return left_matrix(self.u) @ right_matrix(self.v)
+        return rotation_matrices(self.u.to_vec(), self.v.to_vec())
 
     def apply(self, q: Quaternion) -> Quaternion:
         return self.u * q * self.v
@@ -75,12 +81,17 @@ class DoubleRotation:
         return qarray.rotate(rows, self.u.to_vec(), self.v.to_vec())
 
 
+def unit_factor(q: Quaternion) -> Quaternion:
+    """q / |q|, the unit factor double_rotation makes of a nonzero q."""
+    n = q.modulus()
+    if n == 0.0:
+        raise ValueError("rotation factors must be nonzero quaternions")
+    return q / n
+
+
 def double_rotation(u: Quaternion, v: Quaternion) -> DoubleRotation:
     """Build the rotation q -> u*q*v, renormalising the unit factors."""
-    nu, nv = u.modulus(), v.modulus()
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("rotation factors must be nonzero quaternions")
-    return DoubleRotation(u / nu, v / nv)
+    return DoubleRotation(unit_factor(u), unit_factor(v))
 
 
 def isoclinic_angles(u: Quaternion, v: Quaternion):

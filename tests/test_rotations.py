@@ -4,6 +4,8 @@ import pytest
 from quatprop import (ATOL, ONE, I, J, K, Quaternion, double_rotation,
                       euler_form, is_so4, isoclinic_angles, left_matrix,
                       right_matrix)
+from quatprop.rotations import (left_matrices, right_matrices, rotation_matrices,
+                                unit_factor)
 
 from support import rand_quaternion, rand_unit
 
@@ -154,3 +156,45 @@ def test_angles_come_from_euler_forms():
             assert abs(alpha - euler_form(u)[2]) <= ATOL
         if v.vector_part.modulus() > 1e-6:
             assert abs(beta - euler_form(v)[2]) <= ATOL
+
+
+# --- stacked multiplication and rotation matrices ------------------------------
+
+def test_stacked_matrices_hold_the_products_with_each_unit():
+    # column j of L(q) is q*e_j and of R(q) is e_j*q, bit for bit, for
+    # every row of a stack, and a one-row stack is left_matrix/right_matrix
+    rng = np.random.default_rng(25)
+    qs = [rand_quaternion(rng) for _ in range(50)]
+    units = [ONE, I, J, K]
+    lefts = left_matrices([q.to_vec() for q in qs])
+    rights = right_matrices([q.to_vec() for q in qs])
+    assert lefts.shape == rights.shape == (50, 4, 4)
+    for q, lq, rq in zip(qs, lefts, rights):
+        for j, e in enumerate(units):
+            assert np.array_equal(lq[:, j], (q * e).to_vec())
+            assert np.array_equal(rq[:, j], (e * q).to_vec())
+        assert np.array_equal(lq, left_matrix(q))
+        assert np.array_equal(rq, right_matrix(q))
+
+
+def test_rotation_matrices_stack_double_rotation_matrices():
+    rng = np.random.default_rng(26)
+    us = [rand_quaternion(rng) for _ in range(30)]
+    vs = [rand_quaternion(rng) for _ in range(30)]
+    m = rotation_matrices([unit_factor(u).to_vec() for u in us],
+                          [unit_factor(v).to_vec() for v in vs])
+    assert m.shape == (30, 4, 4)
+    for mi, u, v in zip(m, us, vs):
+        assert np.array_equal(mi, double_rotation(u, v).matrix)
+
+
+def test_unit_factor_is_double_rotations_normalisation():
+    rng = np.random.default_rng(27)
+    for _ in range(100):
+        u, v = rand_quaternion(rng), rand_quaternion(rng)
+        dr = double_rotation(u, v)
+        assert np.array_equal(dr.u.to_vec(), unit_factor(u).to_vec())
+        assert np.array_equal(dr.v.to_vec(), unit_factor(v).to_vec())
+    assert np.array_equal(unit_factor(ONE).to_vec(), ONE.to_vec())
+    with pytest.raises(ValueError, match="nonzero"):
+        unit_factor(Quaternion(0.0, 0.0, 0.0, 0.0))

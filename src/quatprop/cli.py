@@ -87,9 +87,18 @@ def _basis_from_args(args):
         raise UsageError(str(exc)) from None
 
 
-# generate's class-parameter flags, in the order their presence is checked
-_PARAM_FLAGS = ("sigma2", "varsigma2", "alpha", "delta", "omega",
-                "gamma1", "gamma2", "gamma3")
+# generate's class-parameter flags and their help, in the order they are
+# declared and their presence is checked
+_PARAM_FLAGS = {
+    "sigma2": "variance parameter",
+    "varsigma2": "second variance parameter",
+    "alpha": "complex parameter as re[,im]",
+    "delta": "real (mumu) or complex (musame) parameter",
+    "omega": "complex parameter as re[,im]",
+    "gamma1": "general class: 4 basis coords r,x,y,z",
+    "gamma2": "general class: 4 basis coords r,x,y,z",
+    "gamma3": "general class: 4 basis coords r,x,y,z",
+}
 
 
 def _params_from_args(args, basis):
@@ -151,6 +160,13 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--n must be at least 1, got {args.n}")
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    out = Path(args.out)
+    if not out.name:
+        raise UsageError(f"--out must name a file, got {args.out!r}")
+    sidecar = out.with_suffix(".json")
+    if sidecar == out:
+        raise UsageError(f"--out {args.out!r} is also the path of its .json "
+                         "metadata sidecar; give it another suffix")
     basis = _basis_from_args(args)
     params = _params_from_args(args, basis)
     try:
@@ -159,10 +175,9 @@ def cmd_generate(args) -> int:
         raise UsageError(str(exc)) from None
     draws = sample(faces.r, args.n, args.seed, basis=basis,
                    class_tag=params.tag.value, params=params.param_dict())
-    out = Path(args.out)
     with _writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)
-        draws.save(out, out.with_suffix(".json"))
+        draws.save(out, sidecar)
     print(f"wrote {draws.n} draws to {out}", file=sys.stderr)
     return 0
 
@@ -170,8 +185,8 @@ def cmd_generate(args) -> int:
 def cmd_classify(args) -> int:
     if not math.isfinite(args.c) or args.c <= 0.0:
         raise UsageError(f"--c must be positive and finite, got {args.c!r}")
-    data = _read_csv(args.input)
     basis = _basis_from_args(args)
+    data = _read_csv(args.input)
     try:
         report = estimation.classify(data, basis, c=args.c, center=args.center)
     except ValueError as exc:
@@ -182,23 +197,21 @@ def cmd_classify(args) -> int:
     return 0
 
 
+# plane pairing -> (file suffix, columns, header) of each of its two planes
 _PAIRINGS = {
-    # plane pairing -> ((columns, header), (columns, header))
-    "i": (((0, 1), "re,im_i"), ((2, 3), "im_j,im_k")),
-    "j": (((0, 2), "re,im_j"), ((1, 3), "im_i,im_k")),
-    "k": (((0, 3), "re,im_k"), ((1, 2), "im_i,im_j")),
+    "i": (("1i", (0, 1), "re,im_i"), ("jk", (2, 3), "im_j,im_k")),
+    "j": (("1j", (0, 2), "re,im_j"), ("ik", (1, 3), "im_i,im_k")),
+    "k": (("1k", (0, 3), "re,im_k"), ("ij", (1, 2), "im_i,im_j")),
 }
-_PAIR_NAMES = {"i": ("1i", "jk"), "j": ("1j", "ik"), "k": ("1k", "ij")}
 
 
 def cmd_project(args) -> int:
     data = _read_csv(args.input)
-    pairs = ("i", "j", "k") if args.pairs == "all" else (args.pairs,)
+    pairs = tuple(_PAIRINGS) if args.pairs == "all" else (args.pairs,)
     out_dir = Path(args.out_dir)
     stem = Path(args.input).stem
-    outputs = [(out_dir / f"{stem}_{name}.csv", cols, header)
-               for pair in pairs
-               for (cols, header), name in zip(_PAIRINGS[pair], _PAIR_NAMES[pair])]
+    outputs = [(out_dir / f"{stem}_{suffix}.csv", cols, header)
+               for pair in pairs for suffix, cols, header in _PAIRINGS[pair]]
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         write_column_csvs(data, outputs)
@@ -208,9 +221,9 @@ def cmd_project(args) -> int:
 
 
 def cmd_rotate(args) -> int:
-    data = _read_csv(args.input)
     u = _parse_unit_quaternion(args.u, "--u")
     v = _parse_unit_quaternion(args.v, "--v")
+    data = _read_csv(args.input)
     rotated = double_rotation(u, v).apply_rows(data)
     out = Path(args.out)
     with _writing(out):
@@ -237,14 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--class", dest="class_tag", required=True,
                      choices=[t.value for t in PropernessTag])
     add_basis_flags(gen)
-    gen.add_argument("--sigma2", help="variance parameter")
-    gen.add_argument("--varsigma2", help="second variance parameter")
-    gen.add_argument("--alpha", help="complex parameter as re[,im]")
-    gen.add_argument("--delta", help="real (mumu) or complex (musame) parameter")
-    gen.add_argument("--omega", help="complex parameter as re[,im]")
-    gen.add_argument("--gamma1", help="general class: 4 basis coords r,x,y,z")
-    gen.add_argument("--gamma2", help="general class: 4 basis coords r,x,y,z")
-    gen.add_argument("--gamma3", help="general class: 4 basis coords r,x,y,z")
+    for flag, text in _PARAM_FLAGS.items():
+        gen.add_argument(f"--{flag}", help=text)
     gen.add_argument("--n", type=int, default=DEFAULT_N)
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     gen.add_argument("--out", required=True, help="output CSV path")
@@ -262,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     proj = sub.add_parser("project",
                           help="project onto pairs of orthogonal 2D planes")
     proj.add_argument("input", help="CSV with header a,b,c,d")
-    proj.add_argument("--pairs", choices=["all", "i", "j", "k"], default="all")
+    proj.add_argument("--pairs", choices=["all", *_PAIRINGS], default="all")
     proj.add_argument("--out-dir", required=True)
     proj.set_defaults(func=cmd_project)
 

@@ -196,9 +196,6 @@ class QuaternionBasis:
     def from_coords(self, coords) -> Quaternion:
         return Quaternion.from_vec(self.frame @ np.asarray(coords, dtype=float))
 
-    def is_standard(self) -> bool:
-        return np.array_equal(self.frame, np.eye(4))
-
 
 def validate_basis(mu1: Quaternion, mu2: Quaternion, tol: float = ATOL) -> QuaternionBasis:
     """Validate two axes and build the basis {1, mu1, mu2, mu1*mu2}.

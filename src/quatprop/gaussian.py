@@ -360,24 +360,20 @@ def quaternion_face_from_gammas(sigma2: float, gamma1: Quaternion,
                                 basis: QuaternionBasis) -> CovarianceH:
     """Fill the quaternion face from its first row (sigma2, gamma1..3).
 
-    The remaining entries are fixed by the Hermitian symmetry and the
-    involution identities of the face, e.g. entry (2,3) is gamma3 involved
-    about mu1. These identities hold sample-wise, so the same template serves
-    exact construction and estimation.
+    The rest follows from one rule: entry (r, s) above the diagonal is
+    gamma_{r xor s} involved about mu_r (as is, for r = 0), e.g. entry (2,3)
+    is gamma1 involved about mu2; the diagonal is sigma2 and each entry below
+    it is the conjugate of its mirror. These identities hold sample-wise, so
+    the same template serves exact construction and estimation.
     """
-    m1, m2 = basis.mu1, basis.mu2
-    g2i = gamma2.involution(m1)
-    g3i = gamma3.involution(m1)
-    g1i = gamma1.involution(m2)
-    s = Quaternion(sigma2, 0.0, 0.0, 0.0)
-    rows = [
-        [s, gamma1, gamma2, gamma3],
-        [gamma1.conj(), s, g3i, g2i],
-        [gamma2.conj(), g3i.conj(), s, g1i],
-        [gamma3.conj(), g2i.conj(), g1i.conj(), s],
-    ]
-    mat = np.array([[q.to_vec() for q in row] for row in rows])
-    return CovarianceH(mat, basis)
+    row = (Quaternion(sigma2, 0.0, 0.0, 0.0), gamma1, gamma2, gamma3)
+    mat = [[row[0]] * 4 for _ in range(4)]
+    for r in range(4):
+        for s in range(r + 1, 4):
+            h = row[r ^ s].involution(basis.axes[r - 1]) if r else row[s]
+            mat[r][s], mat[s][r] = h, h.conj()
+    return CovarianceH(np.array([[(q.a, q.b, q.c, q.d) for q in line]
+                                 for line in mat]), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +674,17 @@ def gaussian_pdf(q, cov: CovarianceR):
 
     One eigendecomposition g = V diag(w) V^T serves every row: the quadratic
     form is |x V diag(w)^-1/2|^2 and the normaliser comes from prod(w).
+    A covariance with a non-finite entry, or one that is not positive
+    definite, raises ValueError.
     """
     g = (cov.matrix + cov.matrix.T) / 2.0
-    w, v = np.linalg.eigh(g)
+    try:
+        w, v = np.linalg.eigh(g)
+    except np.linalg.LinAlgError:  # eigh's other answer to a NaN entry
+        w = np.array([np.nan])
+    if math.isnan(w.min()):  # what eigh makes of a NaN or infinite entry
+        raise ValueError("matrix is not a valid real-face covariance "
+                         "(non-finite entry)")
     if w.min() <= 0.0:
         raise ValueError(f"covariance is singular: min eigenvalue {w.min():.6e}")
     x = q.to_vec() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
@@ -701,8 +705,14 @@ def pdf_1mu_proper(q: Quaternion, sigma2: float, gamma_1j: Quaternion,
     component. The quadratic form is evaluated with quaternion products only;
     the real-face covariance has eigenvalues (sigma2 +- |gamma_1j|)/4, each
     twice, so the square root of its determinant is
-    (sigma2^2 - |gamma_1j|^2)/16.
+    (sigma2^2 - |gamma_1j|^2)/16. A non-finite q, sigma2 or gamma_1j
+    raises ValueError.
     """
+    g = gamma_1j
+    if not all(map(math.isfinite, (sigma2, q.a, q.b, q.c, q.d,
+                                   g.a, g.b, g.c, g.d))):
+        raise ValueError(f"non-finite input: q = {q!r}, sigma2 = {sigma2!r}, "
+                         f"gamma_1j = {g!r}")
     nu = basis.mu2
     if abs(basis.to_coords(gamma_1j)[2]) > 1e-9:
         raise ValueError("gamma_1j must have no component along the properness axis")

@@ -36,13 +36,3 @@ def involution(q, mu):
     """-mu*q*mu for a pure unit axis mu (a 4-vector), broadcasting over q."""
     mu = np.asarray(mu, dtype=float)
     return -mul(mul(mu, q), mu)
-
-
-def modulus2(q):
-    q = np.asarray(q, dtype=float)
-    return np.sum(q * q, axis=-1)
-
-
-def rotate(q, u, v):
-    """Double rotation u*q*v applied row-wise."""
-    return mul(np.asarray(u, dtype=float), mul(q, np.asarray(v, dtype=float)))

@@ -78,7 +78,7 @@ class DoubleRotation:
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Rotate an (N, 4) array of component vectors."""
-        return qarray.rotate(rows, self.u.to_vec(), self.v.to_vec())
+        return qarray.mul(self.u.to_vec(), qarray.mul(rows, self.v.to_vec()))
 
 
 def unit_factor(q: Quaternion) -> Quaternion:
@@ -103,11 +103,9 @@ def isoclinic_angles(u: Quaternion, v: Quaternion):
     """
     angles = []
     for q in (u, v):
-        n = q.modulus()
-        if n == 0.0:
-            raise ValueError("rotation factors must be nonzero quaternions")
+        unit = unit_factor(q)  # outside the try: a zero factor is an error
         try:
-            _, _, theta = euler_form(q / n)
+            _, _, theta = euler_form(unit)
         except ValueError:
             theta = 0.0 if q.a > 0 else np.pi
         angles.append(theta)

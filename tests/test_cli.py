@@ -484,3 +484,47 @@ def test_generate_sidecar_failure_leaves_no_csv(tmp_path, capsys):
     assert captured.err.startswith(f"data error: cannot write {out / 'd.json'}: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert [p.name for p in out.iterdir()] == ["d.json"]
+
+
+# --- usage errors come before any file is read or written --------------------
+
+@pytest.mark.parametrize("name", ["d.json", "new/d.json", "old.json"])
+def test_generate_out_that_is_its_own_sidecar_is_usage_error(name, tmp_path,
+                                                            capsys):
+    old = tmp_path / "old.json"
+    old.write_text("kept\n")
+    assert run_cli(*gen_args(tmp_path / name, n="5")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --out")
+    assert "sidecar" in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    # nothing was created, and an existing file was not truncated
+    assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+    assert old.read_text() == "kept\n"
+
+
+def test_generate_out_without_a_file_name_is_usage_error(capsys):
+    assert run_cli(*gen_args("/", n="5")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --out must name a file, got '/'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--mu1", "1,0"], "usage error: --mu1 needs 3"),
+    (["classify", "--mu1", "1,0,0", "--mu2", "1,0,0"],
+     "usage error: axes are not orthogonal"),
+    (["rotate", "--u", "2,0,0,0", "--v", "1,0,0,0", "--out", "r.csv"],
+     "usage error: --u must be a unit quaternion"),
+    (["rotate", "--u", "1,0,0,0", "--v", "1,0", "--out", "r.csv"],
+     "usage error: --v needs 4"),
+])
+def test_bad_flag_is_reported_before_the_input_is_read(argv, message, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv[0], str(tmp_path / "missing.csv"), *argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -736,3 +736,28 @@ def test_face_map_memo_stays_bounded():
     # the first basis was evicted, so its map is built again
     again = quaternion_face_map(bases[0])
     assert again is not first and _same_bits(again, first)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+@pytest.mark.parametrize("base", ["identity", "mumu"])
+def test_gaussian_pdf_rejects_non_finite_covariance(base, where, bad):
+    m = (np.eye(4) / 4 if base == "identity" else
+         covariance_from_params(MuMuParams(1.0, 0.3 + 0.1j, 0.2)).r.matrix.copy())
+    m[where] = bad
+    with pytest.raises(ValueError, match=r"real-face covariance \(non-finite entry\)"):
+        gaussian_pdf(ONE, CovarianceR(m))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["q", "sigma2", "gamma_1j"])
+def test_pdf_1mu_proper_rejects_non_finite_input(name, bad):
+    args = {"q": Quaternion(0.5, 0.1, -0.2, 0.3), "sigma2": 1.0,
+            "gamma_1j": Quaternion(0.1, 0.2, 0.0, -0.1)}
+    if name == "sigma2":
+        args[name] = bad
+    else:
+        args[name] = Quaternion(*[bad if i == 1 else x
+                                  for i, x in enumerate(args[name].to_vec())])
+    with pytest.raises(ValueError, match="^non-finite input"):
+        pdf_1mu_proper(**args)

@@ -125,6 +125,13 @@ def test_isoclinic_angles_trivial_cases():
     assert abs(alpha - np.pi) <= ATOL
 
 
+def test_isoclinic_angles_reject_a_zero_factor():
+    zero = Quaternion(0.0, 0.0, 0.0, 0.0)
+    for u, v in ((zero, ONE), (ONE, zero), (zero, zero)):
+        with pytest.raises(ValueError, match="nonzero"):
+            isoclinic_angles(u, v)
+
+
 def _match_angle_multisets(got, expected, tol=1e-9):
     """Match two unordered sets of angles on the circle."""
     got = list(got)

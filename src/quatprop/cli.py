@@ -87,18 +87,22 @@ def _basis_from_args(args):
         raise UsageError(str(exc)) from None
 
 
-# generate's class-parameter flags and their help, in the order they are
-# declared and their presence is checked
-_PARAM_FLAGS = {
-    "sigma2": "variance parameter",
-    "varsigma2": "second variance parameter",
-    "alpha": "complex parameter as re[,im]",
-    "delta": "real (mumu) or complex (musame) parameter",
-    "omega": "complex parameter as re[,im]",
-    "gamma1": "general class: 4 basis coords r,x,y,z",
-    "gamma2": "general class: 4 basis coords r,x,y,z",
-    "gamma3": "general class: 4 basis coords r,x,y,z",
-}
+def _param_flag_help():
+    """generate's class-parameter flags, the union of the classes' fields in
+    ClassParams order (the order their presence is checked), each with its
+    help: the form of its value in each class, "musame: re[,im]; mumu: re"."""
+    forms = {float: "re", complex: "re[,im]",
+             Quaternion: "r,x,y,z (basis coordinates)"}
+    tags = {}
+    for cls in ClassParams:
+        for name, kind in cls.param_fields():
+            tags.setdefault(name, {}).setdefault(kind, []).append(cls.tag.value)
+    return {name: "; ".join(f"{', '.join(t)}: {forms[kind]}"
+                            for kind, t in by_kind.items())
+            for name, by_kind in tags.items()}
+
+
+_PARAM_FLAG_HELP = _param_flag_help()
 
 
 def _params_from_args(args, basis):
@@ -108,7 +112,7 @@ def _params_from_args(args, basis):
     tag = PropernessTag(args.class_tag)
     cls = next(c for c in ClassParams if c.tag is tag)
     kinds = dict(cls.param_fields())
-    for flag in _PARAM_FLAGS:
+    for flag in _PARAM_FLAG_HELP:
         value = getattr(args, flag)
         if flag in kinds and value is None:
             raise UsageError(f"class {tag.value} requires --{flag}")
@@ -250,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--class", dest="class_tag", required=True,
                      choices=[t.value for t in PropernessTag])
     add_basis_flags(gen)
-    for flag, text in _PARAM_FLAGS.items():
+    for flag, text in _PARAM_FLAG_HELP.items():
         gen.add_argument(f"--{flag}", help=text)
     gen.add_argument("--n", type=int, default=DEFAULT_N)
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -15,16 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ONE, Quaternion, QuaternionBasis
-from .gaussian import (CovarianceR, PropernessTag, convert,
+from .gaussian import (CovarianceR, MuMuParams, MuOneParams, MuSameParams,
+                       OneMuParams, PropernessTag, _complex_face, _real_face,
                        quaternion_face_from_gammas, quaternion_face_map)
 from .rotations import double_rotation, rotation_matrices, unit_factor
 
 
-def _as_rows(samples) -> np.ndarray:
+def _as_rows(samples, least: int, purpose: str = "") -> np.ndarray:
     data = getattr(samples, "data", samples)
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != 4:
         raise ValueError(f"expected an (n, 4) sample array, got {data.shape}")
+    if data.shape[0] < least:
+        raise ValueError(f"need at least {least} samples{purpose}")
     return data
 
 
@@ -78,11 +81,7 @@ def complementary_covariances(samples, basis: QuaternionBasis,
     Variables are treated as centred by construction; pass center=True to
     subtract the sample mean first (real data).
     """
-    x = _as_rows(samples)
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    return _moments(x, basis, center)[1]
+    return _moments(_as_rows(samples, 2), basis, center)[1]
 
 
 def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
@@ -92,14 +91,9 @@ def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
     quaternion face is assembled from sigma2 and gamma1..3 of S, and the
     complex face is the fixed linear map of S (see convert).
     """
-    x = _as_rows(samples)
-    n = x.shape[0]
-    if n < 5:
-        raise ValueError("need at least 5 samples")
-    s, cc = _moments(x, basis, center)
+    s, cc = _moments(_as_rows(samples, 5), basis, center)
     gh = quaternion_face_from_gammas(cc.sigma2, *cc.gammas, basis)
-    gr = CovarianceR(s, basis)
-    return gh, convert(gr, "complex"), gr
+    return gh, _complex_face(s, basis), CovarianceR(s, basis)
 
 
 def _rotation_defects(s: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -113,10 +107,7 @@ def symmetry_residual(cov: CovarianceR, u: Quaternion, v: Quaternion) -> float:
 
     A covariance with a non-finite entry raises ValueError.
     """
-    g = np.asarray(cov.matrix, dtype=float)
-    if not np.isfinite(g).all():
-        raise ValueError("matrix is not a valid real-face covariance "
-                         "(non-finite entry)")
+    g = np.asarray(_real_face(cov), dtype=float)
     scale = float(np.linalg.norm(g))
     if scale == 0.0:
         raise ValueError("zero covariance has no symmetry residual")
@@ -149,10 +140,8 @@ class Candidate:
 
 @dataclass(frozen=True)
 class PropernessReport:
-    """Residual scores for every candidate class plus the chosen one: the
-    first class, in the fixed policy order hproper, pair rotations (mumu,
-    musame), one-sided rotations (muone, onemu), general, whose residual
-    clears the tolerance (the smallest residual inside a tier)."""
+    """Residual scores for every candidate class plus the chosen one, by
+    the tier policy stated at _TIERS."""
 
     candidates: tuple
     chosen: Candidate
@@ -196,69 +185,66 @@ def axis_name(mu: Quaternion) -> str:
     return "(" + ",".join(format(v, ".3g") for v in vec) + ")"
 
 
-# candidate tiers in a fixed policy order, hproper, pair rotations, one-sided
-# rotations, which is not by fixed-space dimension (6 for a pair, 4 for a
-# one-sided rotation); ties inside a tier go to the smaller residual. A
-# rotation candidate q -> u*q*v is (tag, axis indices, u, v), with u and v
-# a basis axis (0-2) or 1 (3): the pair tier is the first 9.
-_ROTATION_CANDIDATES = (
-    [(PropernessTag.MU_MU, (i, j), i, j)
-     for i in range(3) for j in range(3) if i != j]
-    + [(PropernessTag.MU_SAME, (i,), i, i) for i in range(3)]
-    + [(PropernessTag.MU_ONE, (i,), i, 3) for i in range(3)]
-    + [(PropernessTag.ONE_MU, (i,), 3, i) for i in range(3)]
-)
-_ROTATION_U = [u for _, _, u, _ in _ROTATION_CANDIDATES]
-_ROTATION_V = [v for _, _, _, v in _ROTATION_CANDIDATES]
+# The tier policy, stated once. classify tests hproper first, then each tier
+# of rotation classes below in turn, then falls back to general; it chooses
+# the first tier in which some candidate's residual clears the tolerance,
+# and the smallest residual inside that tier. A class's candidates are its
+# rotations (see the *Params classes). The order is a policy, not the
+# fixed-space dimension (6 for a pair rotation, 4 for a one-sided one).
+_TIERS = ((MuMuParams, MuSameParams), (MuOneParams, OneMuParams))
+
+# each tier's (tag, axis indices) candidates, and all their (u, v) stacked
+_TIER_CANDIDATES = [[(cls.tag, tuple(dict.fromkeys(i for i in uv if i < 3)))
+                     for cls in tier for uv in cls.rotations]
+                    for tier in _TIERS]
+_ROTATION_UV = np.array([uv for tier in _TIERS for cls in tier
+                         for uv in cls.rotations])
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def classify(samples, basis: QuaternionBasis, c: float = 5.0,
              center: bool = False) -> PropernessReport:
-    """Classify the symmetry class of a sample at tolerance c/sqrt(n).
+    """Classify the symmetry class of a sample at tolerance c/sqrt(n), by
+    the tier policy stated at _TIERS.
 
-    Candidate rotations range over the basis axes: left factors (mu, 1),
-    right factors (1, mu), distinct pairs (mu, nu) and equal pairs (mu, mu),
-    plus the fully rotation-invariant hypothesis that every complementary
-    covariance vanishes. Residuals are per-entry defects relative to the
-    estimated total variance, so one c/sqrt(n) threshold covers both the
-    rotation tests and the vanishing-covariance test. All residuals come
-    from the second moment S; a ValueError is raised when S, the total
-    variance or a residual is not finite.
+    The candidates are every rotation of each class in _TIERS, over the
+    basis axes, plus the fully rotation-invariant hypothesis that every
+    complementary covariance vanishes. Residuals are per-entry defects
+    relative to the estimated total variance, so one c/sqrt(n) threshold
+    covers both the rotation tests and the vanishing-covariance test. All
+    residuals come from the second moment S; a ValueError is raised when S,
+    the total variance or a residual is not finite.
     """
     if not math.isfinite(c) or c <= 0.0:
         raise ValueError(f"c must be positive and finite, got {c!r}")
-    x = _as_rows(samples)
+    x = _as_rows(samples, 100, " to classify")
     n = x.shape[0]
-    if n < 100:
-        raise ValueError("need at least 100 samples to classify")
     s, cc = _moments(x, basis, center)
     if cc.sigma2 <= 0.0:
         raise ValueError("degenerate covariance: zero total variance")
     tol = c / math.sqrt(n)
 
     h_resid = max(g.modulus() for g in cc.gammas) / cc.sigma2
-    # the factors of every candidate made unit as double_rotation makes
-    # them, then every M = L(u) R(v), and its defect, in one stack
+    # the factors of every candidate (index 3 is the factor 1) made unit as
+    # double_rotation makes them, then every M = L(u) R(v), and its defect,
+    # in one stack
     units = np.array([unit_factor(q).to_vec() for q in (*basis.axes, ONE)])
-    m = rotation_matrices(units[_ROTATION_U], units[_ROTATION_V])
-    residuals = (np.abs(_rotation_defects(s, m)).max(axis=(-2, -1))
-                 / cc.sigma2).tolist()
-    rotations = [Candidate(tag, axes, r) for (tag, axes, _, _), r
-                 in zip(_ROTATION_CANDIDATES, residuals)]
-
-    tier_top = [Candidate(PropernessTag.H_PROPER, (), h_resid)]
-    tier_pair, tier_single = rotations[:9], rotations[9:]
+    m = rotation_matrices(*units[_ROTATION_UV.T])
+    residuals = iter((np.abs(_rotation_defects(s, m)).max(axis=(-2, -1))
+                      / cc.sigma2).tolist())
+    tiers = [[Candidate(PropernessTag.H_PROPER, (), h_resid)]]
+    tiers += [[Candidate(tag, axes, next(residuals)) for tag, axes in tier]
+              for tier in _TIER_CANDIDATES]
     fallback = Candidate(PropernessTag.GENERAL, (), 0.0)
 
     chosen = fallback
-    for tier in (tier_top, tier_pair, tier_single):
+    for tier in tiers:
         passing = [cand for cand in tier if cand.residual < tol]
         if passing:
             chosen = min(passing, key=lambda cand: cand.residual)
             break
 
-    candidates = tuple(tier_top + tier_pair + tier_single + [fallback])
+    candidates = tuple(cand for tier in tiers for cand in tier) + (fallback,)
     # S is finite (see _moments), but |gamma|^2 or a defect can overflow
     if not all(math.isfinite(cand.residual) for cand in candidates):
         raise ValueError("second moments are not finite: sample values too large")

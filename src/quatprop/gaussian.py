@@ -64,7 +64,12 @@ class _ParamsBase:
     """A class's parameters are its dataclass fields other than basis; each
     field's type (float, complex or Quaternion) says how it is written out
     and how the command line parses it. This module does not postpone
-    annotations, so a field's type is the class itself, not a string."""
+    annotations, so a field's type is the class itself, not a string.
+    rotations lists the q -> u*q*v that define the class as (u, v) basis-axis
+    indices (3 stands for the factor 1), the instance's own over (mu1, mu2)
+    first, then the same rotation over the other axes."""
+
+    rotations: ClassVar[tuple] = ()
 
     def __post_init__(self):
         for name, kind in self.param_fields():
@@ -108,6 +113,8 @@ class MuMuParams(_ParamsBase):
     basis: QuaternionBasis = STANDARD_BASIS
 
     tag: ClassVar[PropernessTag] = PropernessTag.MU_MU
+    rotations: ClassVar[tuple] = tuple((r, s) for r in range(3)
+                                       for s in range(3) if r != s)
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,7 @@ class MuOneParams(_ParamsBase):
     basis: QuaternionBasis = STANDARD_BASIS
 
     tag: ClassVar[PropernessTag] = PropernessTag.MU_ONE
+    rotations: ClassVar[tuple] = tuple((r, 3) for r in range(3))
 
 
 @dataclass(frozen=True)
@@ -134,6 +142,7 @@ class OneMuParams(_ParamsBase):
     basis: QuaternionBasis = STANDARD_BASIS
 
     tag: ClassVar[PropernessTag] = PropernessTag.ONE_MU
+    rotations: ClassVar[tuple] = tuple((3, r) for r in range(3))
 
 
 @dataclass(frozen=True)
@@ -148,6 +157,7 @@ class MuSameParams(_ParamsBase):
     basis: QuaternionBasis = STANDARD_BASIS
 
     tag: ClassVar[PropernessTag] = PropernessTag.MU_SAME
+    rotations: ClassVar[tuple] = tuple((r, r) for r in range(3))
 
 
 @dataclass(frozen=True)
@@ -186,7 +196,8 @@ class GeneralParams(_ParamsBase):
                     f"(found {coord:.3e})")
 
 
-ClassParams = (MuMuParams, MuOneParams, OneMuParams, MuSameParams,
+# in this order the union of the classes' fields is generate's flag order
+ClassParams = (MuSameParams, MuMuParams, MuOneParams, OneMuParams,
                HProperParams, GeneralParams)
 
 
@@ -327,13 +338,14 @@ def _real_face(cov) -> np.ndarray:
     return _valid_real(s, float(residual), "quaternion")
 
 
-def _complex_face(s: np.ndarray, basis: QuaternionBasis) -> np.ndarray:
+def _complex_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceC:
     w = _PAIR @ basis.frame.T  # W, with F = basis.frame
-    return w @ s @ w.conj().T
+    return CovarianceC(w @ s @ w.conj().T, basis)
 
 
-def _quaternion_face(s: np.ndarray, basis: QuaternionBasis) -> np.ndarray:
-    return np.einsum("ab,rsabc->rsc", s, quaternion_face_map(basis))
+def _quaternion_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceH:
+    K = quaternion_face_map(basis)
+    return CovarianceH(np.einsum("ab,rsabc->rsc", s, K), basis)
 
 
 def convert(cov, to: str):
@@ -351,8 +363,8 @@ def convert(cov, to: str):
     if to == "real":
         return CovarianceR(s, basis)
     if to == "complex":
-        return CovarianceC(_complex_face(s, basis), basis)
-    return CovarianceH(_quaternion_face(s, basis), basis)
+        return _complex_face(s, basis)
+    return _quaternion_face(s, basis)
 
 
 def quaternion_face_from_gammas(sigma2: float, gamma1: Quaternion,
@@ -379,22 +391,10 @@ def quaternion_face_from_gammas(sigma2: float, gamma1: Quaternion,
 # ---------------------------------------------------------------------------
 # construction from class parameters
 
-def _complex_face_from_moments(c11, c22, c12, p11, p22, p12) -> np.ndarray:
-    """Hermitian covariance of (z1, z1*, z2, z2*) from the pair's second
-    moments: variances c11, c22, cross-covariance c12 = E[z1 z2*] and
-    pseudo-(co)variances p11 = E[z1^2], p22 = E[z2^2], p12 = E[z1 z2]."""
-    c11, c22 = complex(c11), complex(c22)
-    c12, p11, p22, p12 = complex(c12), complex(p11), complex(p22), complex(p12)
-    cj = np.conj
-    return np.array([
-        [c11,      p11,     c12,      p12],
-        [cj(p11),  c11,     cj(p12),  cj(c12)],
-        [cj(c12),  p12,     c22,      p22],
-        [cj(p12),  c12,     cj(p22),  c22],
-    ])
-
-
 def _moments_for(params):
+    """The pair's second moments a class's parameters fix: variances c11,
+    c22, cross-covariance c12 = E[z1 z2*] and pseudo-(co)variances
+    p11 = E[z1^2], p22 = E[z2^2], p12 = E[z1 z2]."""
     tag = params.tag
     if tag is PropernessTag.MU_MU:
         return (params.sigma2, params.sigma2, 1j * params.delta,
@@ -412,26 +412,38 @@ def _moments_for(params):
     raise ValueError(f"no complex-face moments for class {tag}")
 
 
+def _chart(params):
+    """The face a class's parameters fix: the gammas' quaternion face for
+    general, else the complex face of _moments_for's second moments."""
+    if params.tag is PropernessTag.GENERAL:
+        return quaternion_face_from_gammas(params.sigma2, params.gamma1,
+                                           params.gamma2, params.gamma3,
+                                           params.basis)
+    c11, c22, c12, p11, p22, p12 = map(complex, _moments_for(params))
+    cj = np.conj
+    return CovarianceC(np.array([
+        [c11,      p11,     c12,      p12],
+        [cj(p11),  c11,     cj(p12),  cj(c12)],
+        [cj(c12),  p12,     c22,      p22],
+        [cj(p12),  c12,     cj(p22),  c22],
+    ]), params.basis)
+
+
 def covariance_from_params(params) -> CovarianceFaces:
-    """Build all three covariance faces for a symmetry class.
+    """Build all three covariance faces for a symmetry class: the face its
+    chart fixes, the real face S of that face, and the other face from S.
 
     Parameters whose real-face covariance is indefinite are rejected, with
     the most negative eigenvalue reported.
     """
-    basis = params.basis
-    if params.tag is PropernessTag.GENERAL:
-        h = quaternion_face_from_gammas(params.sigma2, params.gamma1,
-                                        params.gamma2, params.gamma3, basis)
-        gr = _real_face(h)
-        c = CovarianceC(_complex_face(gr, basis), basis)
-    else:
-        c = CovarianceC(_complex_face_from_moments(*_moments_for(params)), basis)
-        gr = _real_face(c)
-        h = CovarianceH(_quaternion_face(gr, basis), basis)
+    given, basis = _chart(params), params.basis
+    gr = _real_face(given)
     lam_min = float(np.linalg.eigvalsh(gr).min())
     if lam_min < PSD_FLOOR:
         raise ValueError("parameters give an indefinite covariance: "
                          f"min eigenvalue {lam_min:.6e}")
+    c = given if isinstance(given, CovarianceC) else _complex_face(gr, basis)
+    h = given if isinstance(given, CovarianceH) else _quaternion_face(gr, basis)
     return CovarianceFaces(c, CovarianceR(gr, basis), h)
 
 
@@ -646,11 +658,12 @@ def sample(cov: CovarianceR, n: int, seed: int, basis=None,
     Identical (seed, n, covariance) give bit-identical output. The factor is
     Cholesky when the matrix is positive definite, otherwise an eigenvalue
     factorisation with negative eigenvalues clipped at zero, so semidefinite
-    boundary cases (perfectly correlated planes) sample cleanly.
+    boundary cases (perfectly correlated planes) sample cleanly. A
+    covariance with a non-finite entry raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    g = np.asarray(cov.matrix, dtype=float)
+    g = np.asarray(_real_face(cov), dtype=float)
     g = (g + g.T) / 2.0
     lam_min = float(np.linalg.eigvalsh(g).min())
     if lam_min < PSD_FLOOR:
@@ -675,19 +688,15 @@ def gaussian_pdf(q, cov: CovarianceR):
     One eigendecomposition g = V diag(w) V^T serves every row: the quadratic
     form is |x V diag(w)^-1/2|^2 and the normaliser comes from prod(w).
     A covariance with a non-finite entry, or one that is not positive
-    definite, raises ValueError.
+    definite, and a point with a non-finite component raise ValueError.
     """
-    g = (cov.matrix + cov.matrix.T) / 2.0
-    try:
-        w, v = np.linalg.eigh(g)
-    except np.linalg.LinAlgError:  # eigh's other answer to a NaN entry
-        w = np.array([np.nan])
-    if math.isnan(w.min()):  # what eigh makes of a NaN or infinite entry
-        raise ValueError("matrix is not a valid real-face covariance "
-                         "(non-finite entry)")
+    g = _real_face(cov)
+    w, v = np.linalg.eigh((g + g.T) / 2.0)
     if w.min() <= 0.0:
         raise ValueError(f"covariance is singular: min eigenvalue {w.min():.6e}")
     x = q.to_vec() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite input: a component of q is nan or inf")
     y = x @ (v / np.sqrt(w))
     quad = np.einsum("...i,...i->...", y, y)
     norm = 1.0 / (_TWO_PI_SQ * np.sqrt(np.prod(w)))

@@ -283,6 +283,28 @@ def test_class_rotation_invariance_exact(tag):
         assert np.max(np.abs(m @ faces.r.matrix @ m.T - faces.r.matrix)) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [None, 0, 1, 2], ids=["standard", "rand0",
+                                                        "rand1", "rand2"])
+def test_class_rotations_table_matches_chart(seed):
+    basis = STANDARD_BASIS if seed is None else rand_basis(np.random.default_rng(seed))
+    counts = {"mumu": 6, "musame": 3, "muone": 3, "onemu": 3,
+              "hproper": 0, "general": 0}
+    factors = (*basis.axes, ONE)
+    for tag, params in all_class_params(basis).items():
+        table = type(params).rotations
+        assert len(table) == counts[tag] and len(set(table)) == len(table), tag
+        assert all(0 <= i <= 3 for uv in table for i in uv), tag
+        if not table:
+            continue
+        # entry 0 is the instance's own rotation, the one its chart fixes
+        (want_u, want_v), = defining_rotations(tag, basis)
+        u, v = (factors[i] for i in table[0])
+        assert (u, v) == (want_u, want_v), tag
+        r = covariance_from_params(params).r.matrix
+        m = double_rotation(u, v).matrix
+        assert np.max(np.abs(m @ r @ m.T - r)) <= 1e-12, tag
+
+
 def test_hproper_invariant_under_any_rotation():
     faces = covariance_from_params(HProperParams(1.7))
     rng = np.random.default_rng(34)
@@ -747,6 +769,19 @@ def test_gaussian_pdf_rejects_non_finite_covariance(base, where, bad):
     m[where] = bad
     with pytest.raises(ValueError, match=r"real-face covariance \(non-finite entry\)"):
         gaussian_pdf(ONE, CovarianceR(m))
+    with pytest.raises(ValueError, match=r"real-face covariance \(non-finite entry\)"):
+        sample(CovarianceR(m), 5, seed=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gaussian_pdf_rejects_non_finite_point(bad):
+    cov = covariance_from_params(MuMuParams(1.0, 0.3 + 0.1j, 0.2)).r
+    with pytest.raises(ValueError, match="^non-finite input"):
+        gaussian_pdf(Quaternion(0.5, bad, -0.2, 0.3), cov)
+    rows = np.random.default_rng(5).normal(size=(50, 4))
+    rows[17, 2] = bad
+    with pytest.raises(ValueError, match="^non-finite input"):
+        gaussian_pdf(rows, cov)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

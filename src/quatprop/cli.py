@@ -15,6 +15,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from . import estimation
 from .core import PureUnit, Quaternion, validate_basis
 from .gaussian import (ClassParams, PropernessTag, covariance_from_params,
@@ -75,7 +77,7 @@ def _parse_unit_quaternion(text, what):
     q = Quaternion(a, b, c, d)
     if abs(q.modulus() - 1.0) > 1e-6:
         raise UsageError(f"{what} must be a unit quaternion, modulus is {q.modulus():.6g}")
-    return q / q.modulus()
+    return q  # double_rotation makes the unit factor
 
 
 def _basis_from_args(args):
@@ -148,12 +150,14 @@ def _read_csv(path):
 
 @contextmanager
 def _writing(path):
-    """Report an OSError raised while writing path as a data error naming
-    the file the system refused (path when the error names none)."""
+    """Report an OSError or a value the writer refuses (ValueError), raised
+    while writing path, as a data error naming the file the system refused
+    (path when the error names none)."""
     try:
         yield
-    except OSError as exc:
-        raise DataError(f"cannot write {exc.filename or path}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        filename = getattr(exc, "filename", None)
+        raise DataError(f"cannot write {filename or path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +232,8 @@ def cmd_rotate(args) -> int:
     u = _parse_unit_quaternion(args.u, "--u")
     v = _parse_unit_quaternion(args.v, "--v")
     data = _read_csv(args.input)
-    rotated = double_rotation(u, v).apply_rows(data)
+    with np.errstate(over="ignore", invalid="ignore"):  # the writer refuses inf/nan
+        rotated = double_rotation(u, v).apply_rows(data)
     out = Path(args.out)
     with _writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)

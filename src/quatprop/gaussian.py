@@ -29,7 +29,7 @@ import math
 import os
 import stat
 import warnings
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
@@ -482,18 +482,14 @@ class SampleSet:
         as a JSON sidecar. If the sidecar cannot be written, the CSV and any
         partial sidecar are removed, so no CSV is left without its
         metadata."""
-        write_sample_csv(csv_path, self.data)
-        if meta_path is None:
-            return
-        written = [csv_path]
-        try:
-            with open(meta_path, "w", encoding="utf-8") as fh:
-                written.append(meta_path)
-                json.dump(self.metadata_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except BaseException:
-            _remove_regular_files(written)
-            raise
+        with _removed_on_failure() as created:
+            write_sample_csv(csv_path, self.data)
+            created.append(csv_path)
+            if meta_path is not None:
+                with open(meta_path, "w", encoding="utf-8") as fh:
+                    created.append(meta_path)
+                    json.dump(self.metadata_dict(), fh, indent=2, sort_keys=True)
+                    fh.write("\n")
 
 
 # Every value of a sample CSV: 17 significant digits, which read back exactly.
@@ -513,67 +509,65 @@ _CSV_PLAIN_BYTES = b"0123456789+-.eE,\n \t"
 def write_sample_csv(path, rows: np.ndarray, header: str = "a,b,c,d"):
     """CSV with the given header, every value as "%.17g" (17 significant
     digits, which read back exactly) and LF line endings."""
-    rows = np.asarray(rows, dtype=float)
-    write_column_csvs(rows, [(path, range(rows.shape[1]), header)])
+    write_column_csvs(rows, [(path, range(np.shape(rows)[1]), header)])
 
 
 def write_column_csvs(rows: np.ndarray, outputs):
-    """Write several CSVs that each hold some of rows' columns, formatting
-    every value once. outputs is a list of (path, columns, header); each
-    file equals write_sample_csv(path, rows[:, columns], header) byte for
-    byte. Every file is opened, in the order given, before any row is
-    written, and memory does not grow with the number of rows. If anything
-    fails, the regular files opened here are removed, so none is left
-    holding only some of its rows."""
+    """Write several CSVs that each hold some of rows' columns. outputs is a
+    list of (path, columns, header); each file equals
+    write_sample_csv(path, rows[:, columns], header) byte for byte. Each
+    block of rows is formatted once, column-major, whatever files its values
+    go to, so memory does not grow with the number of rows. A row with a nan
+    or inf raises ValueError naming the 1-based line it would land on (the
+    header is line 1) before any file is opened. Every file is opened, in the
+    order given, before any row is written; if anything fails, the regular
+    files opened here are removed, so none is left holding only some of its
+    rows."""
     rows = np.asarray(rows, dtype=float)
     n, m = rows.shape
-    used = [j for _, columns, _ in outputs for j in columns]
-    # A value that goes to one file is formatted straight into that file's
-    # row template. When files share columns, each block is formatted once,
-    # column-major, and each file's lines interleave its columns' strings.
-    shared = len(used) != len(set(used))
-    cell = "%s" if shared else _CSV_VALUE
-    opened = []
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"line {bad[0] + 2}: non-finite value in row "
+                         f"{rows[bad[0]].tolist()}")
+    with _removed_on_failure() as created, ExitStack() as stack:
+        files = []
+        for path, columns, header in outputs:
+            fh = stack.enter_context(open(path, "w", encoding="utf-8",
+                                          newline=""))
+            created.append(path)
+            fh.write(header + "\n")
+            files.append((fh, list(columns)))
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            k = block.shape[0]
+            # column-major, so each column's k strings are one slice
+            values = (((_CSV_VALUE + "\n") * (k * m))
+                      % tuple(block.T.ravel().tolist())).split("\n")
+            by_column = [values[j * k:(j + 1) * k] for j in range(m)]
+            for fh, columns in files:
+                # each value, then its "," or "\n"; no columns: "\n" alone
+                step = 2 * len(columns) or 1
+                parts = [","] * (k * step)
+                for i, j in enumerate(columns):
+                    parts[2 * i::step] = by_column[j]
+                parts[step - 1::step] = ["\n"] * k
+                fh.write("".join(parts))
+
+
+@contextmanager
+def _removed_on_failure():
+    """Yield a list for the paths a write creates; if the block raises, remove
+    the regular files among them (a directory or device in the way is left
+    alone, and one that cannot be removed is skipped) and re-raise."""
+    created = []
     try:
-        with ExitStack() as stack:
-            files = []
-            for path, columns, header in outputs:
-                fh = stack.enter_context(open(path, "w", encoding="utf-8",
-                                              newline=""))
-                opened.append(path)
-                fh.write(header + "\n")
-                files.append((fh, list(columns),
-                              ",".join([cell] * len(columns)) + "\n"))
-            for start in range(0, n, _CSV_BLOCK_ROWS):
-                block = rows[start:start + _CSV_BLOCK_ROWS]
-                k = block.shape[0]
-                if shared:
-                    # column-major, so each column's k strings are one slice
-                    text = (((_CSV_VALUE + "\n") * (k * m))
-                            % tuple(block.T.ravel().tolist()))
-                    values = text.split("\n")
-                    by_column = [values[j * k:(j + 1) * k] for j in range(m)]
-                for fh, columns, line in files:
-                    if shared:
-                        w = len(columns)
-                        cells = [None] * (k * w)
-                        for i, j in enumerate(columns):
-                            cells[i::w] = by_column[j]
-                    else:
-                        cells = block[:, columns].ravel().tolist()
-                    fh.write((line * k) % tuple(cells))
+        yield created
     except BaseException:
-        _remove_regular_files(opened)
+        for path in created:
+            with suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
         raise
-
-
-def _remove_regular_files(paths):
-    """Remove each path that is a regular file, ignoring any that cannot be
-    removed; a directory or device in the way is left alone."""
-    for path in paths:
-        with suppress(OSError):
-            if stat.S_ISREG(os.lstat(path).st_mode):
-                os.remove(path)
 
 
 def read_sample_csv(path) -> np.ndarray:

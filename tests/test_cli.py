@@ -2,6 +2,7 @@ import itertools
 import json
 import subprocess
 import sys
+import warnings
 from argparse import Namespace
 
 import numpy as np
@@ -270,6 +271,25 @@ def test_rotate_rejects_non_unit(tmp_path, capsys):
                  "--out", str(tmp_path / "r.csv"))
     assert rc == 1
     assert "unit quaternion" in capsys.readouterr().err
+
+
+def test_rotate_overflow_is_one_line_data_error(tmp_path, capsys):
+    # u*q overflows on the first row; the writer refuses the inf before the
+    # output is created, and no numpy warning is printed
+    src = tmp_path / "big.csv"
+    src.write_text("a,b,c,d\n1.7e308,1.7e308,0,0\n1,2,3,4\n")
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli("rotate", str(src),
+                     "--u", "0.70710678118654757,0.70710678118654757,0,0",
+                     "--v", "1,0,0,0", "--out", str(out))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"data error: cannot write {out}: line 2: "
+                            "non-finite value in row [0.0, inf, 0.0, 0.0]\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
 
 
 CLASS_FLAGS = {

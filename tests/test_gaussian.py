@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatprop import (ONE, I, J, K, CovarianceC, CovarianceH, CovarianceR,
@@ -568,6 +568,52 @@ def test_sample_csv_matches_reference_io(tmp_path_factory, n, cols, seed, drawn)
         assert back.tobytes() == ref.tobytes() == x.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@example(n=1025, layout=[[0, 0], [3, 1]], seed=0)
+@example(n=1025, layout=[[], [2]], seed=1)
+@given(st.sampled_from([1, 1023, 1024, 1025, 2049]),
+       st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=4),
+                min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_column_csvs_match_reference_on_any_layout(tmp_path_factory, n, layout,
+                                                   seed):
+    # 1-4 files of 1-4 columns each (and, as an example, of none), columns
+    # repeated, out of order and shared between files; edge values land at
+    # random places
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2**64, size=(n, 4), dtype=np.uint64).view(np.float64).copy()
+    x[~np.isfinite(x)] = 1.0
+    flat = x.reshape(-1)
+    flat[rng.integers(0, flat.size, size=len(_EDGE_DOUBLES))] = _EDGE_DOUBLES
+    d = tmp_path_factory.mktemp("layout")
+    outputs = [(d / f"out{f}.csv", tuple(cols), ",".join(f"c{j}" for j in cols))
+               for f, cols in enumerate(layout)]
+    write_column_csvs(x, outputs)
+    for path, cols, header in outputs:
+        write_sample_csv_reference(d / "ref.csv", x[:, cols], header=header)
+        assert path.read_bytes() == (d / "ref.csv").read_bytes(), (cols, n)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_csv_writer_refuses_non_finite_values(bad, tmp_path):
+    # the reader rejects nan and inf, so a file holding one would not read
+    # back; the writer refuses it, naming its line, before opening any file
+    x = np.ones((5, 4))
+    x[3, 2] = bad
+    kept = tmp_path / "d.csv"
+    kept.write_text("kept")
+    message = rf"^line 5: non-finite value in row \[1\.0, 1\.0, {bad}, 1\.0\]$"
+    with pytest.raises(ValueError, match=message):
+        write_sample_csv(kept, x)
+    with pytest.raises(ValueError, match=message):
+        write_column_csvs(x, [(tmp_path / "a.csv", (0, 1), "re,im_i"),
+                              (tmp_path / "b.csv", (2, 3), "im_j,im_k")])
+    with pytest.raises(ValueError, match=message):
+        SampleSet(x, seed=0).save(tmp_path / "s.csv", tmp_path / "s.json")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    assert kept.read_text() == "kept"
+
+
 def test_read_sample_csv_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c,d\n1,2,3,4\n1,2,3\n")
@@ -711,6 +757,17 @@ def test_failed_sidecar_leaves_no_csv(tmp_path):
         SampleSet(np.ones((3, 4)), seed=0).save(tmp_path / "d.csv",
                                                 tmp_path / "d.json")
     assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+
+
+def test_save_onto_directory_leaves_it_and_writes_no_sidecar(tmp_path):
+    (tmp_path / "d.csv").mkdir()
+    (tmp_path / "d.csv" / "inside").write_text("kept")
+    with pytest.raises(IsADirectoryError):
+        SampleSet(np.ones((3, 4)), seed=0).save(tmp_path / "d.csv",
+                                                tmp_path / "d.json")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    assert [p.name for p in (tmp_path / "d.csv").iterdir()] == ["inside"]
+    assert (tmp_path / "d.csv" / "inside").read_text() == "kept"
 
 
 # --- the quaternion-face map, built once per basis ---------------------------

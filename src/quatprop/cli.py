@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -149,13 +149,28 @@ def _read_csv(path):
 
 
 @contextmanager
-def _writing(path):
-    """Report an OSError or a value the writer refuses (ValueError), raised
-    while writing path, as a data error naming the file the system refused
-    (path when the error names none)."""
+def _writing(path, directory):
+    """Make directory and its missing parents, then write path in the block.
+
+    An OSError or a value the writer refuses (ValueError) is reported as a
+    data error naming the file the system refused (path when the error names
+    none); the directories made here are then removed again, deepest first,
+    where they are still empty.
+    """
+    missing = []
+    made = []
     try:
+        while not directory.is_dir():
+            missing.append(directory)
+            directory = directory.parent
+        for new in reversed(missing):
+            new.mkdir()
+            made.append(new)
         yield
     except (OSError, ValueError) as exc:
+        for new in reversed(made):
+            with suppress(OSError):
+                new.rmdir()
         filename = getattr(exc, "filename", None)
         raise DataError(f"cannot write {filename or path}: {exc}") from None
 
@@ -183,8 +198,7 @@ def cmd_generate(args) -> int:
         raise UsageError(str(exc)) from None
     draws = sample(faces.r, args.n, args.seed, basis=basis,
                    class_tag=params.tag.value, params=params.param_dict())
-    with _writing(out):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    with _writing(out, out.parent):
         draws.save(out, sidecar)
     print(f"wrote {draws.n} draws to {out}", file=sys.stderr)
     return 0
@@ -220,8 +234,7 @@ def cmd_project(args) -> int:
     stem = Path(args.input).stem
     outputs = [(out_dir / f"{stem}_{suffix}.csv", cols, header)
                for pair in pairs for suffix, cols, header in _PAIRINGS[pair]]
-    with _writing(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir, out_dir):
         write_column_csvs(data, outputs)
     for path, _, _ in outputs:
         print(f"wrote {path}", file=sys.stderr)
@@ -235,8 +248,7 @@ def cmd_rotate(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # the writer refuses inf/nan
         rotated = double_rotation(u, v).apply_rows(data)
     out = Path(args.out)
-    with _writing(out):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    with _writing(out, out.parent):
         write_sample_csv(out, rotated)
     print(f"wrote {rotated.shape[0]} rotated draws to {out}", file=sys.stderr)
     return 0

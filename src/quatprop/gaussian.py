@@ -289,11 +289,11 @@ def quaternion_face_map(basis: QuaternionBasis) -> np.ndarray:
 def _face_map(frame_bytes: bytes) -> np.ndarray:
     # (q, q^mu1, q^mu2, q^mu3) = T q_vec: row r of T holds the involutions of
     # the four standard units about mu_r, column r of the frame (row 0 is the
-    # identity), assembled from the involution operation itself
+    # identity), the three axes involved in one stacked call
     frame = np.frombuffer(frame_bytes).reshape(4, 4)
     units = np.eye(4)
-    T = np.array([units] + [qarray.involution(units, frame[:, r])
-                            for r in range(1, 4)])
+    T = np.concatenate([units[None],
+                        qarray.involution(units, frame[:, 1:].T[:, None, :])])
     K = qarray.mul(T[:, None, :, None, :], qarray.conj(T[None, :, None, :, :]))
     K.flags.writeable = False
     return K
@@ -317,7 +317,6 @@ _FACE_NAMES = {CovarianceR: "real", CovarianceC: "complex",
                CovarianceH: "quaternion"}
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _valid_real reports overflow
 def _real_face(cov) -> np.ndarray:
     """The real face S of any face with finite entries."""
     face = _FACE_NAMES.get(type(cov))
@@ -328,14 +327,16 @@ def _real_face(cov) -> np.ndarray:
                          "(non-finite entry)")
     if face == "real":
         return cov.matrix
-    if face == "complex":
-        v = cov.basis.frame @ _PAIR.conj().T / 2.0
-        s = v @ cov.matrix @ v.conj().T  # V = W^-1 = F _PAIR^H / 2
-        return _valid_real(s.real, float(np.max(np.abs(s.imag))), "complex")
-    K = quaternion_face_map(cov.basis)
-    s = np.einsum("rsc,rsabc->ab", cov.matrix, K) / 16.0
-    residual = np.max(np.abs(cov.matrix - np.einsum("ab,rsabc->rsc", s, K)))
-    return _valid_real(s, float(residual), "quaternion")
+    # the maps may overflow on huge finite entries; _valid_real reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if face == "complex":
+            v = cov.basis.frame @ _PAIR.conj().T / 2.0
+            s = v @ cov.matrix @ v.conj().T  # V = W^-1 = F _PAIR^H / 2
+            return _valid_real(s.real, float(np.max(np.abs(s.imag))), "complex")
+        K = quaternion_face_map(cov.basis)
+        s = np.einsum("rsc,rsabc->ab", cov.matrix, K) / 16.0
+        residual = np.max(np.abs(cov.matrix - np.einsum("ab,rsabc->rsc", s, K)))
+        return _valid_real(s, float(residual), "quaternion")
 
 
 def _complex_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceC:

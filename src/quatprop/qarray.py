@@ -24,7 +24,8 @@ def mul(p, q):
     """Hamilton product, broadcasting over leading axes."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    return np.stack(hamilton(*np.moveaxis(p, -1, 0), *np.moveaxis(q, -1, 0)), axis=-1)
+    return np.stack(hamilton(p[..., 0], p[..., 1], p[..., 2], p[..., 3],
+                             q[..., 0], q[..., 1], q[..., 2], q[..., 3]), axis=-1)
 
 
 def conj(q):
@@ -33,6 +34,7 @@ def conj(q):
 
 
 def involution(q, mu):
-    """-mu*q*mu for a pure unit axis mu (a 4-vector), broadcasting over q."""
+    """-mu*q*mu for pure unit axes mu (..., 4), broadcasting q and mu against
+    each other: a stack of axes gives the stack of their involutions."""
     mu = np.asarray(mu, dtype=float)
     return -mul(mul(mu, q), mu)

@@ -273,23 +273,44 @@ def test_rotate_rejects_non_unit(tmp_path, capsys):
     assert "unit quaternion" in capsys.readouterr().err
 
 
-def test_rotate_overflow_is_one_line_data_error(tmp_path, capsys):
-    # u*q overflows on the first row; the writer refuses the inf before the
-    # output is created, and no numpy warning is printed
+def run_overflowing_rotate(tmp_path, out):
+    # u*q overflows on the first row of big.csv
     src = tmp_path / "big.csv"
     src.write_text("a,b,c,d\n1.7e308,1.7e308,0,0\n1,2,3,4\n")
+    return run_cli("rotate", str(src),
+                   "--u", "0.70710678118654757,0.70710678118654757,0,0",
+                   "--v", "1,0,0,0", "--out", str(out))
+
+
+def test_rotate_overflow_is_one_line_data_error(tmp_path, capsys):
+    # the writer refuses the inf before the output is created, and no numpy
+    # warning is printed
     out = tmp_path / "r.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = run_cli("rotate", str(src),
-                     "--u", "0.70710678118654757,0.70710678118654757,0,0",
-                     "--v", "1,0,0,0", "--out", str(out))
+        rc = run_overflowing_rotate(tmp_path, out)
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"data error: cannot write {out}: line 2: "
                             "non-finite value in row [0.0, inf, 0.0, 0.0]\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
+def test_refused_write_removes_the_directories_it_made(tmp_path, capsys):
+    assert run_overflowing_rotate(tmp_path, tmp_path / "ofo" / "sub" / "r.csv") == 2
+    assert capsys.readouterr().err.startswith("data error: cannot write ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
+def test_refused_write_keeps_the_directories_that_existed(tmp_path, capsys):
+    old = tmp_path / "old"
+    old.mkdir()
+    assert run_overflowing_rotate(tmp_path, old / "new" / "r.csv") == 2
+    assert run_overflowing_rotate(tmp_path, old / "r.csv") == 2
+    assert capsys.readouterr().err.count("data error: cannot write ") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "old"]
+    assert list(old.iterdir()) == []
 
 
 CLASS_FLAGS = {

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -155,7 +156,8 @@ def _writing(path, directory):
     An OSError or a value the writer refuses (ValueError) is reported as a
     data error naming the file the system refused (path when the error names
     none); the directories made here are then removed again, deepest first,
-    where they are still empty.
+    where they are still empty. A MemoryError removes them too and is
+    re-raised, for main to report.
     """
     missing = []
     made = []
@@ -167,10 +169,12 @@ def _writing(path, directory):
             new.mkdir()
             made.append(new)
         yield
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         for new in reversed(made):
             with suppress(OSError):
                 new.rmdir()
+        if isinstance(exc, MemoryError):
+            raise
         filename = getattr(exc, "filename", None)
         raise DataError(f"cannot write {filename or path}: {exc}") from None
 
@@ -276,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, default=DEFAULT_N)
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     gen.add_argument("--out", required=True, help="output CSV path")
-    gen.set_defaults(func=cmd_generate)
 
     cls = sub.add_parser("classify", help="classify a sample CSV")
     cls.add_argument("input", help="CSV with header a,b,c,d")
@@ -285,35 +288,46 @@ def build_parser() -> argparse.ArgumentParser:
                      help="tolerance constant; threshold is c/sqrt(n)")
     cls.add_argument("--center", action="store_true",
                      help="subtract the sample mean first")
-    cls.set_defaults(func=cmd_classify)
 
     proj = sub.add_parser("project",
                           help="project onto pairs of orthogonal 2D planes")
     proj.add_argument("input", help="CSV with header a,b,c,d")
     proj.add_argument("--pairs", choices=["all", *_PAIRINGS], default="all")
     proj.add_argument("--out-dir", required=True)
-    proj.set_defaults(func=cmd_project)
 
     rot = sub.add_parser("rotate", help="apply the double rotation q -> u*q*v")
     rot.add_argument("input", help="CSV with header a,b,c,d")
     rot.add_argument("--u", required=True, help="left unit quaternion a,b,c,d")
     rot.add_argument("--v", required=True, help="right unit quaternion a,b,c,d")
     rot.add_argument("--out", required=True, help="output CSV path")
-    rot.set_defaults(func=cmd_rotate)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command (argv, or sys.argv[1:] when None) and return its exit
+    code. The parser is built on the first call and reused by later calls in
+    the process; build_parser() returns a new one."""
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up now, not bound when the parser was built, so a patched
+        # cmd_* (a test's stub, a tracer's wrapper) is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the allocation; the interpreter's own MemoryError is bare
+        reason = f": {exc}" if str(exc) else ""
+        print(f"data error: out of memory{reason}", file=sys.stderr)
         return 2
 
 

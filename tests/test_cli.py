@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import subprocess
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatprop import (STANDARD_BASIS, PureUnit, cli, read_sample_csv,
-                      validate_basis)
+from quatprop import (STANDARD_BASIS, PureUnit, cli, gaussian,
+                      read_sample_csv, validate_basis)
 from quatprop.cli import main
 
 from support import (EDGE_DOUBLES, PARAM_FLAG_ORDER, REFERENCE_CLASS_FLAGS,
@@ -569,3 +570,158 @@ def test_bad_flag_is_reported_before_the_input_is_read(argv, message, tmp_path,
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+# --- running out of memory ---------------------------------------------------
+
+def _allocation_fails(*args, **kwargs):
+    raise MemoryError("Unable to allocate 29.8 GiB for an array with shape "
+                      "(1000000000, 4) and data type float64")
+
+
+@pytest.mark.parametrize("command, target", [
+    ("generate", (cli, "sample")),
+    ("generate", (gaussian, "write_sample_csv")),
+    ("classify", (cli, "read_sample_csv")),
+    ("rotate", (cli, "read_sample_csv")),
+    ("rotate", (cli, "write_sample_csv")),
+    ("project", (cli, "write_column_csvs")),
+])
+def test_out_of_memory_is_one_line_data_error(command, target, tmp_path,
+                                              monkeypatch, capsys):
+    src = tmp_path / "draws.csv"
+    assert run_cli(*gen_args(src, n="10")) == 0
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    fresh = tmp_path / "fresh" / "sub"
+    argv = {
+        "generate": gen_args(fresh / "x.csv", n="10"),
+        "classify": ["classify", str(src)],
+        "rotate": ["rotate", str(src), "--u", "1,0,0,0", "--v", "1,0,0,0",
+                   "--out", str(fresh / "r.csv")],
+        "project": ["project", str(src), "--out-dir", str(fresh)],
+    }[command]
+    monkeypatch.setattr(*target, _allocation_fails)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("data error: out of memory: Unable to allocate "
+                            "29.8 GiB for an array with shape (1000000000, 4) "
+                            "and data type float64\n")
+    # no output file, and no directory the command made, is left behind
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_out_of_memory_without_a_reason_is_one_line_data_error(tmp_path,
+                                                              monkeypatch,
+                                                              capsys):
+    src = tmp_path / "draws.csv"
+    assert run_cli(*gen_args(src, n="10")) == 0
+
+    def bare(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "read_sample_csv", bare)
+    capsys.readouterr()
+    assert run_cli("classify", str(src)) == 2
+    assert capsys.readouterr().err == "data error: out of memory\n"
+
+
+# --- one parser per process --------------------------------------------------
+
+def _parser_reuse_steps(root):
+    src, rot = root / "mumu.csv", root / "rot.csv"
+    return [
+        gen_args(src, n="200"),
+        # hproper takes none of mumu's --alpha and --delta
+        ["generate", "--class", "hproper", "--sigma2", "1", "--n", "200",
+         "--out", str(root / "hproper.csv")],
+        ["classify", str(src), "--center"],
+        ["classify", str(src)],
+        ["generate", "--class", "hproper", "--sigma2", "1", "--bogus", "1",
+         "--out", str(root / "bad.csv")],
+        ["classify"],
+        ["rotate", str(src), "--u", "0.6,0.8,0,0", "--v", "0,0,1,0",
+         "--out", str(rot)],
+        ["project", str(rot), "--pairs", "j", "--out-dir", str(root / "planes")],
+    ]
+
+
+def _run_steps(root, capsys, fresh_parser_each_call):
+    root.mkdir()
+    results = []
+    for argv in _parser_reuse_steps(root):
+        if fresh_parser_each_call:
+            cli._parser.cache_clear()
+        code = main(argv)
+        captured = capsys.readouterr()
+        results.append((code, captured.out.replace(str(root), "<root>"),
+                        captured.err.replace(str(root), "<root>")))
+    files = {p.relative_to(root).as_posix(): p.read_bytes()
+             for p in sorted(root.rglob("*")) if p.is_file()}
+    return results, files
+
+
+def test_reused_parser_gives_what_a_fresh_parser_gives(tmp_path, monkeypatch,
+                                                      capsys):
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    reused = _run_steps(tmp_path / "reused", capsys, False)
+    assert len(built) == 1
+    fresh = _run_steps(tmp_path / "fresh", capsys, True)
+    assert len(built) == 1 + len(_parser_reuse_steps(tmp_path))
+    assert [code for code, _, _ in reused[0]] == [0, 0, 0, 0, 1, 1, 0, 0]
+    assert reused == fresh
+    # the plain classify is not the centred one, and the usage errors name
+    # their own flags
+    assert reused[0][2][1] != reused[0][3][1]
+    assert reused[0][4][2] == "usage error: unrecognized arguments: --bogus 1\n"
+
+
+def test_command_patched_after_the_parser_was_built_runs(tmp_path, monkeypatch,
+                                                        capsys):
+    src = tmp_path / "draws.csv"
+    assert run_cli(*gen_args(src, n="200")) == 0
+    assert run_cli("classify", str(src)) == 0
+    seen = []
+
+    def patched(args):
+        seen.append(args.input)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_classify", patched)
+    assert run_cli("classify", str(src)) == 7
+    assert seen == [str(src)]
+
+
+def _subcommands(parser):
+    action, = (a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command",
+                         [None, "generate", "classify", "project", "rotate"])
+def test_help_after_other_commands_matches_a_fresh_parser(command, tmp_path,
+                                                         capsys):
+    src = tmp_path / "draws.csv"
+    run_cli(*gen_args(src, n="5"))
+    run_cli("classify", str(src), "--center")
+    run_cli("generate", "--class", "hproper", "--bogus", "1")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command is None else [command, "--help"])
+    assert exc.value.code == 0
+    fresh = cli.build_parser()
+    if command is not None:
+        fresh = _subcommands(fresh)[command]
+    captured = capsys.readouterr()
+    assert captured.out == fresh.format_help()
+    assert captured.err == ""

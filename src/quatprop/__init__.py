@@ -3,9 +3,8 @@ machinery, structured covariance classes, sampling, and properness
 classification."""
 
 from .core import (ATOL, ONE, I, J, K, ComplexPair, PureUnit, Quaternion,
-                   QuaternionBasis, RestrictionMask, STANDARD_BASIS,
-                   cayley_dickson, euler_form, involution, restrict,
-                   validate_basis)
+                   QuaternionBasis, STANDARD_BASIS, cayley_dickson,
+                   euler_form, validate_basis)
 from .rotations import (DoubleRotation, So4Check, double_rotation, is_so4,
                         isoclinic_angles, left_matrix, right_matrix)
 from .gaussian import (CovarianceC, CovarianceFaces, CovarianceH, CovarianceR,
@@ -20,9 +19,8 @@ from .estimation import (Candidate, ComplementaryCovariances,
 
 __all__ = [
     "ATOL", "ONE", "I", "J", "K",
-    "Quaternion", "PureUnit", "QuaternionBasis", "RestrictionMask",
-    "ComplexPair", "STANDARD_BASIS",
-    "cayley_dickson", "euler_form", "involution", "restrict", "validate_basis",
+    "Quaternion", "PureUnit", "QuaternionBasis", "ComplexPair",
+    "STANDARD_BASIS", "cayley_dickson", "euler_form", "validate_basis",
     "DoubleRotation", "So4Check", "double_rotation", "is_so4",
     "isoclinic_angles", "left_matrix", "right_matrix",
     "PropernessTag", "MuMuParams", "MuOneParams", "OneMuParams",

@@ -13,16 +13,16 @@ import functools
 import json
 import math
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import estimation
 from .core import PureUnit, Quaternion, validate_basis
-from .gaussian import (ClassParams, PropernessTag, covariance_from_params,
-                       read_sample_csv, sample, write_column_csvs,
-                       write_sample_csv)
+from .gaussian import (ClassParams, PropernessTag, _removed_on_failure,
+                       covariance_from_params, read_sample_csv, sample,
+                       write_column_csvs, write_sample_csv)
 from .rotations import double_rotation
 
 DEFAULT_N = 50_000
@@ -153,28 +153,23 @@ def _read_csv(path):
 def _writing(path, directory):
     """Make directory and its missing parents, then write path in the block.
 
-    An OSError or a value the writer refuses (ValueError) is reported as a
-    data error naming the file the system refused (path when the error names
-    none); the directories made here are then removed again, deepest first,
-    where they are still empty. A MemoryError removes them too and is
-    re-raised, for main to report.
+    The directories made here are recorded with the writer's clean-up rule
+    (gaussian._removed_on_failure), so whatever the block raises, they are
+    removed again, deepest first, where they are empty. An OSError or a
+    value the writer refuses (ValueError) is then reported as a data error
+    naming the file the system refused (path when the error names none).
     """
-    missing = []
-    made = []
     try:
-        while not directory.is_dir():
-            missing.append(directory)
-            directory = directory.parent
-        for new in reversed(missing):
-            new.mkdir()
-            made.append(new)
-        yield
-    except (OSError, ValueError, MemoryError) as exc:
-        for new in reversed(made):
-            with suppress(OSError):
-                new.rmdir()
-        if isinstance(exc, MemoryError):
-            raise
+        with _removed_on_failure() as made:
+            missing = []
+            while not directory.is_dir():
+                missing.append(directory)
+                directory = directory.parent
+            for new in reversed(missing):
+                new.mkdir()
+                made.append(new)
+            yield
+    except (OSError, ValueError) as exc:
         filename = getattr(exc, "filename", None)
         raise DataError(f"cannot write {filename or path}: {exc}") from None
 

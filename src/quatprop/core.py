@@ -1,5 +1,5 @@
-"""Exact quaternion arithmetic, involutions, restrictions and Cayley-Dickson
-splitting over an arbitrary orthonormal basis of the quaternion algebra.
+"""Exact quaternion arithmetic, involutions and Cayley-Dickson splitting
+over an arbitrary orthonormal basis of the quaternion algebra.
 
 Components are always stored in the standard basis {1, i, j, k}. Frames other
 than the standard one only enter through :class:`QuaternionBasis`, which every
@@ -48,10 +48,6 @@ class Quaternion:
     def to_vec(self) -> np.ndarray:
         """Component vector (a, b, c, d)."""
         return np.array([self.a, self.b, self.c, self.d])
-
-    @property
-    def scalar_part(self) -> float:
-        return self.a
 
     @property
     def vector_part(self) -> "Quaternion":
@@ -133,11 +129,15 @@ class PureUnit(Quaternion):
     """A quaternion with zero scalar part and unit modulus, used as an axis.
 
     Construction normalises the given 3-vector and rejects vectors too short
-    to define a direction reliably.
+    to define a direction reliably, or whose norm is not finite (a nan or
+    inf component, or one so large that the norm overflows).
     """
 
     def __init__(self, x: float, y: float, z: float):
         n = math.sqrt(x * x + y * y + z * z)
+        if not math.isfinite(n):
+            raise ValueError(f"axis vector norm {n:.3e} is not finite; "
+                             "no trustworthy direction")
         if n < MIN_AXIS_NORM:
             raise ValueError(f"axis vector norm {n:.3e} is below {MIN_AXIS_NORM:.0e}; "
                              "no trustworthy direction")
@@ -161,10 +161,6 @@ ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = PureUnit(1.0, 0.0, 0.0)
 J = PureUnit(0.0, 1.0, 0.0)
 K = PureUnit(0.0, 0.0, 1.0)
-
-
-def involution(q: Quaternion, mu: Quaternion) -> Quaternion:
-    return q.involution(mu)
 
 
 @dataclass(frozen=True)
@@ -218,39 +214,6 @@ def validate_basis(mu1: Quaternion, mu2: Quaternion, tol: float = ATOL) -> Quate
 
 
 STANDARD_BASIS = validate_basis(I, J)
-
-
-@dataclass(frozen=True)
-class RestrictionMask:
-    """A non-empty subset of the four basis axes, indexed 0 (real) to 3."""
-
-    axes: frozenset
-
-    def __post_init__(self):
-        axes = frozenset(int(x) for x in self.axes)
-        if not axes:
-            raise ValueError("restriction mask must keep at least one axis")
-        if not axes <= {0, 1, 2, 3}:
-            raise ValueError(f"axis indices must lie in 0..3, got {sorted(axes)}")
-        object.__setattr__(self, "axes", axes)
-
-    @property
-    def complement(self) -> "RestrictionMask":
-        comp = {0, 1, 2, 3} - self.axes
-        if not comp:
-            raise ValueError("full mask has an empty complement")
-        return RestrictionMask(frozenset(comp))
-
-
-def restrict(q: Quaternion, mask, basis: QuaternionBasis = STANDARD_BASIS) -> Quaternion:
-    """Degenerate quaternion keeping only the masked components of q in `basis`."""
-    if not isinstance(mask, RestrictionMask):
-        mask = RestrictionMask(frozenset(mask))
-    coords = basis.to_coords(q)
-    for axis in range(4):
-        if axis not in mask.axes:
-            coords[axis] = 0.0
-    return basis.from_coords(coords)
 
 
 def euler_form(q: Quaternion):

@@ -96,23 +96,29 @@ def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
     return gh, _complex_face(s, basis), CovarianceR(s, basis)
 
 
-def _rotation_defects(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """M S M^T - S for each rotation matrix M of a (..., 4, 4) stack: zero
-    exactly when the rotation leaves the covariance S fixed."""
-    return m @ s @ np.swapaxes(m, -1, -2) - s
+def _rotation_residuals(s: np.ndarray, m: np.ndarray, sigma2: float):
+    """max |M S M^T - S| / sigma2 for each rotation matrix M of a
+    (..., 4, 4) stack: zero exactly when the rotation leaves the
+    covariance S fixed."""
+    defects = m @ s @ np.swapaxes(m, -1, -2) - s
+    return np.abs(defects).max(axis=(-2, -1)) / sigma2
 
 
+@np.errstate(over="ignore")  # an overflowing trace is reported below
 def symmetry_residual(cov: CovarianceR, u: Quaternion, v: Quaternion) -> float:
-    """Relative Frobenius defect of the covariance under the rotation (u, v).
+    """The defect of the covariance S under the rotation (u, v), scored as
+    classify scores a candidate: max |M S M^T - S| / tr S.
 
-    A covariance with a non-finite entry raises ValueError.
+    A covariance with a non-finite entry, or whose trace is not positive
+    and finite, raises ValueError.
     """
     g = np.asarray(_real_face(cov), dtype=float)
-    scale = float(np.linalg.norm(g))
-    if scale == 0.0:
-        raise ValueError("zero covariance has no symmetry residual")
+    sigma2 = float(np.trace(g))
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"covariance trace {sigma2:.3e} is not positive and "
+                         "finite; no symmetry residual")
     m = double_rotation(u, v).matrix
-    return float(np.linalg.norm(_rotation_defects(g, m)) / scale)
+    return float(_rotation_residuals(g, m, sigma2))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +236,7 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
     # in one stack
     units = np.array([unit_factor(q).to_vec() for q in (*basis.axes, ONE)])
     m = rotation_matrices(*units[_ROTATION_UV.T])
-    residuals = iter((np.abs(_rotation_defects(s, m)).max(axis=(-2, -1))
-                      / cc.sigma2).tolist())
+    residuals = iter(_rotation_residuals(s, m, cc.sigma2).tolist())
     tiers = [[Candidate(PropernessTag.H_PROPER, (), h_resid)]]
     tiers += [[Candidate(tag, axes, next(residuals)) for tag, axes in tier]
               for tier in _TIER_CANDIDATES]

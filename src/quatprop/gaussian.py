@@ -557,17 +557,22 @@ def write_column_csvs(rows: np.ndarray, outputs):
 
 @contextmanager
 def _removed_on_failure():
-    """Yield a list for the paths a write creates; if the block raises, remove
-    the regular files among them (a directory or device in the way is left
-    alone, and one that cannot be removed is skipped) and re-raise."""
+    """Yield a list for the paths a write creates, in creation order. If the
+    block raises anything, remove them newest first (files before the
+    directories holding them, deeper directories first) and re-raise: a
+    regular file is deleted, a directory only when empty, and anything else
+    (a device in the way), or a path that cannot be removed, is left alone."""
     created = []
     try:
         yield created
     except BaseException:
-        for path in created:
+        for path in reversed(created):
             with suppress(OSError):
-                if stat.S_ISREG(os.lstat(path).st_mode):
+                mode = os.lstat(path).st_mode
+                if stat.S_ISREG(mode):
                     os.remove(path)
+                elif stat.S_ISDIR(mode):
+                    os.rmdir(path)
         raise
 
 

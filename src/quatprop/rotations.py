@@ -7,6 +7,7 @@ transposes sub-blocks of these matrices, so it is fixed here once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -82,10 +83,17 @@ class DoubleRotation:
 
 
 def unit_factor(q: Quaternion) -> Quaternion:
-    """q / |q|, the unit factor double_rotation makes of a nonzero q."""
+    """q / |q|, the unit factor double_rotation makes of q.
+
+    A factor whose computed |q| is not positive and finite (zero, nan or
+    inf, or |q|^2 underflowing to 0 or overflowing) raises ValueError
+    naming its modulus.
+    """
     n = q.modulus()
-    if n == 0.0:
-        raise ValueError("rotation factors must be nonzero quaternions")
+    if not 0.0 < n < math.inf:
+        raise ValueError("rotation factors must be nonzero, finite, and "
+                         "neither underflow nor overflow |q|^2; got modulus "
+                         f"{math.hypot(q.a, q.b, q.c, q.d):.3e}")
     return q / n
 
 
@@ -103,7 +111,7 @@ def isoclinic_angles(u: Quaternion, v: Quaternion):
     """
     angles = []
     for q in (u, v):
-        unit = unit_factor(q)  # outside the try: a zero factor is an error
+        unit = unit_factor(q)  # outside the try: a bad factor is an error
         try:
             _, _, theta = euler_form(unit)
         except ValueError:

@@ -627,6 +627,36 @@ def test_out_of_memory_without_a_reason_is_one_line_data_error(tmp_path,
     assert capsys.readouterr().err == "data error: out of memory\n"
 
 
+def _interrupted(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+# the json.dump case interrupts generate after its CSV is written, while the
+# sidecar is open
+@pytest.mark.parametrize("command, target", [
+    ("generate", (gaussian, "write_sample_csv")),
+    ("generate", (gaussian.json, "dump")),
+    ("rotate", (cli, "write_sample_csv")),
+    ("project", (cli, "write_column_csvs")),
+])
+def test_interrupted_write_leaves_the_tree_as_it_was(command, target, tmp_path,
+                                                     monkeypatch):
+    src = tmp_path / "draws.csv"
+    assert run_cli(*gen_args(src, n="10")) == 0
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    fresh = tmp_path / "fresh" / "sub"
+    argv = {
+        "generate": gen_args(fresh / "x.csv", n="10"),
+        "rotate": ["rotate", str(src), "--u", "1,0,0,0", "--v", "1,0,0,0",
+                   "--out", str(fresh / "r.csv")],
+        "project": ["project", str(src), "--out-dir", str(fresh)],
+    }[command]
+    monkeypatch.setattr(*target, _interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(*argv)
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 # --- one parser per process --------------------------------------------------
 
 def _parser_reuse_steps(root):

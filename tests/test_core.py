@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatprop import (ATOL, ONE, I, J, K, PureUnit, Quaternion,
-                      RestrictionMask, STANDARD_BASIS, cayley_dickson,
-                      euler_form, involution, restrict, validate_basis)
+                      STANDARD_BASIS, cayley_dickson, euler_form,
+                      validate_basis)
 from quatprop.rotations import left_matrix
 
 from support import rand_basis, rand_quaternion
@@ -118,42 +118,6 @@ def test_involution_preserves_modulus(q, mu):
     assert abs(q.involution(mu).modulus() - q.modulus()) <= ATOL * max(1.0, q.modulus())
 
 
-# --- restrictions ---------------------------------------------------------
-
-def test_restrict_examples():
-    q = Quaternion(1, 2, 3, 4)
-    assert restrict(q, {0}) == Quaternion(1, 0, 0, 0)
-    assert restrict(q, {1, 2}) == Quaternion(0, 2, 3, 0)
-    assert restrict(q, {0, 1, 2, 3}) == q
-
-
-def test_restrict_complementary_masks_sum_exactly():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        q = rand_quaternion(rng)
-        mask = RestrictionMask(frozenset({0, 2}))
-        assert restrict(q, mask) + restrict(q, mask.complement) == q
-
-
-def test_restrict_with_general_basis():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        basis = rand_basis(rng)
-        q = rand_quaternion(rng)
-        parts = [restrict(q, {axis}, basis) for axis in range(4)]
-        total = parts[0] + parts[1] + parts[2] + parts[3]
-        assert total.isclose(q, tol=1e-12 * max(1.0, q.modulus()))
-
-
-def test_restriction_mask_validation():
-    with pytest.raises(ValueError):
-        RestrictionMask(frozenset())
-    with pytest.raises(ValueError):
-        RestrictionMask(frozenset({4}))
-    with pytest.raises(ValueError):
-        RestrictionMask(frozenset({0, 1, 2, 3})).complement
-
-
 # --- polar form -----------------------------------------------------------
 
 def test_euler_form_examples():
@@ -258,6 +222,15 @@ def test_pure_unit_normalises_and_rejects_tiny():
     assert mu.a == 0.0
     with pytest.raises(ValueError):
         PureUnit(1e-10, 0, 0)
+
+
+def test_pure_unit_rejects_non_finite_norm():
+    # a nan or inf component, or a finite one whose square overflows
+    for x in (math.nan, math.inf, -math.inf, 1e200):
+        with pytest.raises(ValueError, match="is not finite"):
+            PureUnit(x, 0, 0)
+    with pytest.raises(ValueError, match="is not finite"):
+        validate_basis(Quaternion(0, math.nan, 0, 0), J)
 
 
 def test_pure_unit_from_quaternion_checks():

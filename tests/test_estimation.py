@@ -349,3 +349,40 @@ def test_symmetry_residual_rejects_non_finite_covariance():
             symmetry_residual(CovarianceR(g), ONE, I)
     with pytest.raises(ValueError, match="non-finite entry"):
         symmetry_residual(CovarianceR(np.full((4, 4), np.nan)), ONE, I)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["mumu", "muone", "musame", "raw"]),
+       st.booleans())
+def test_symmetry_residual_is_classify_residual(seed, tag, center):
+    # one score for a rotation's defect: symmetry_residual of the sample's
+    # second moment S equals classify's residual of every rotation candidate
+    # bit for bit
+    rng = np.random.default_rng(seed)
+    basis = STANDARD_BASIS if seed % 3 == 0 else rand_basis(rng)
+    n = int(rng.integers(100, 2000))
+    if tag == "raw":
+        x = rng.normal(size=(n, 4)) * rng.uniform(0.1, 3.0, size=4) + rng.normal(size=4)
+    else:
+        faces = covariance_from_params(all_class_params(basis)[tag])
+        x = sample(faces.r, n, seed=seed).data
+    report = classify(x, basis, center=center)
+    xc = x - x.mean(axis=0) if center else x
+    s = CovarianceR((xc.T @ xc) / n)
+    ax = basis.axes
+    factors = {"mumu": lambda i, j: (ax[i], ax[j]),
+               "musame": lambda i: (ax[i], ax[i]),
+               "muone": lambda i: (ax[i], ONE),
+               "onemu": lambda i: (ONE, ax[i])}
+    rotations = [cand for cand in report.candidates if cand.tag.value in factors]
+    assert len(rotations) == 15
+    for cand in rotations:
+        u, v = factors[cand.tag.value](*cand.axis_indices)
+        assert symmetry_residual(s, u, v) == cand.residual, cand
+
+
+def test_symmetry_residual_needs_positive_finite_trace():
+    for diag in ([-1.0, 0.5, 0.25, 0.25], [1e308, 1e308, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="trace"):
+            symmetry_residual(CovarianceR(np.diag(diag)), I, J)

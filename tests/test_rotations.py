@@ -205,3 +205,19 @@ def test_unit_factor_is_double_rotations_normalisation():
     assert np.array_equal(unit_factor(ONE).to_vec(), ONE.to_vec())
     with pytest.raises(ValueError, match="nonzero"):
         unit_factor(Quaternion(0.0, 0.0, 0.0, 0.0))
+
+
+def test_rotation_factor_modulus_must_be_positive_and_finite():
+    # each of these made a zero or nan unit factor, or angles (0, 0)
+    huge = Quaternion(1e200, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="modulus 1.000e\\+200"):
+        double_rotation(huge, ONE)
+    with pytest.raises(ValueError, match="modulus nan"):
+        double_rotation(ONE, Quaternion(np.nan, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="modulus inf"):
+        unit_factor(Quaternion(0.0, np.inf, 0.0, 0.0))
+    with pytest.raises(ValueError, match="modulus 1.414e\\+200"):
+        isoclinic_angles(Quaternion(1e200, 1e200, 0.0, 0.0), ONE)
+    # nonzero, but |q|^2 underflows to 0
+    with pytest.raises(ValueError, match="modulus 1.000e-200"):
+        unit_factor(Quaternion(1e-200, 0.0, 0.0, 0.0))

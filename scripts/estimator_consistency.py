@@ -9,12 +9,9 @@ Usage:
 """
 
 import argparse
-import math
 
-import numpy as np
-
-from quatprop import (STANDARD_BASIS, GeneralParams, covariance_faces,
-                      covariance_from_params, sample)
+from quatprop import STANDARD_BASIS, GeneralParams
+from quatprop.estimation import estimator_consistency
 
 
 def main():
@@ -31,25 +28,15 @@ def main():
         basis.from_coords([-0.05, 0.07, 0.04, 0.0]),
         basis,
     )
-    faces = covariance_from_params(params)
-    bound = 5 * params.sigma2 / math.sqrt(args.n)
+    worst, bound = estimator_consistency(params, args.n, range(args.seeds))
 
-    good = 0
-    worst_overall = 0.0
-    for seed in range(args.seeds):
-        draws = sample(faces.r, args.n, seed=seed)
-        gh, _, _ = covariance_faces(draws.data, basis)
-        err = np.sqrt(np.sum((gh.matrix - faces.h.matrix) ** 2, axis=-1))
-        worst = float(np.max(err))
-        worst_overall = max(worst_overall, worst)
-        ok = worst <= bound
-        good += ok
-        print(f"seed {seed:3d}: worst entry error {worst:.5f} "
-              f"{'<=' if ok else '>'} {bound:.5f}")
-
+    for seed, err in enumerate(worst):
+        print(f"seed {seed:3d}: worst entry error {err:.5f} "
+              f"{'<=' if err <= bound else '>'} {bound:.5f}")
+    good = sum(err <= bound for err in worst)
     rate = good / args.seeds
     print(f"\n{good}/{args.seeds} runs within bound ({rate:.1%}); "
-          f"worst overall {worst_overall:.5f}")
+          f"worst overall {max(worst, default=0.0):.5f}")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ import numpy as np
 from .core import ONE, Quaternion, QuaternionBasis
 from .gaussian import (CovarianceR, MuMuParams, MuOneParams, MuSameParams,
                        OneMuParams, PropernessTag, _complex_face, _real_face,
-                       quaternion_face_from_gammas, quaternion_face_map)
+                       covariance_from_params, quaternion_face_from_gammas,
+                       quaternion_face_map, sample)
 from .rotations import double_rotation, rotation_matrices, unit_factor
 
 
@@ -94,6 +95,23 @@ def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
     s, cc = _moments(_as_rows(samples, 5), basis, center)
     gh = quaternion_face_from_gammas(cc.sigma2, *cc.gammas, basis)
     return gh, _complex_face(s, basis), CovarianceR(s, basis)
+
+
+def estimator_consistency(params, n: int, seeds):
+    """How far covariance_faces lands from a class's exact quaternion face.
+
+    For each seed, n draws with the covariance params fix are estimated
+    back; an entry's error is the modulus of its quaternion difference from
+    the exact entry. Returns the worst entry error of each seed, in order,
+    and the bound 5 sigma2 / sqrt(n) they are held to.
+    """
+    faces = covariance_from_params(params)
+    worst = []
+    for seed in seeds:
+        gh, _, _ = covariance_faces(sample(faces.r, n, seed), params.basis)
+        err = np.sqrt(np.sum((gh.matrix - faces.h.matrix) ** 2, axis=-1))
+        worst.append(float(np.max(err)))
+    return worst, 5 * params.sigma2 / math.sqrt(n)
 
 
 def _rotation_residuals(s: np.ndarray, m: np.ndarray, sigma2: float):

@@ -520,16 +520,18 @@ def write_column_csvs(rows: np.ndarray, outputs):
     block of rows is formatted once, column-major, whatever files its values
     go to, so memory does not grow with the number of rows. A row with a nan
     or inf raises ValueError naming the 1-based line it would land on (the
-    header is line 1) before any file is opened. Every file is opened, in the
-    order given, before any row is written; if anything fails, the regular
-    files opened here are removed, so none is left holding only some of its
-    rows."""
+    header is line 1) before any file is opened; that scan too runs a block
+    of rows at a time. Every file is opened, in the order given, before any
+    row is written; if anything fails, the regular files opened here are
+    removed, so none is left holding only some of its rows."""
     rows = np.asarray(rows, dtype=float)
     n, m = rows.shape
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise ValueError(f"line {bad[0] + 2}: non-finite value in row "
-                         f"{rows[bad[0]].tolist()}")
+    for span in qarray.row_blocks(n):
+        bad = np.flatnonzero(~np.isfinite(rows[span]).all(axis=1))
+        if bad.size:
+            first = span.start + int(bad[0])
+            raise ValueError(f"line {first + 2}: non-finite value in row "
+                             f"{rows[first].tolist()}")
     with _removed_on_failure() as created, ExitStack() as stack:
         files = []
         for path, columns, header in outputs:
@@ -538,8 +540,8 @@ def write_column_csvs(rows: np.ndarray, outputs):
             created.append(path)
             fh.write(header + "\n")
             files.append((fh, list(columns)))
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
+        for span in qarray.row_blocks(n, _CSV_BLOCK_ROWS):
+            block = rows[span]
             k = block.shape[0]
             # column-major, so each column's k strings are one slice
             values = (((_CSV_VALUE + "\n") * (k * m))
@@ -658,8 +660,10 @@ def sample(cov: CovarianceR, n: int, seed: int, basis=None,
     Identical (seed, n, covariance) give bit-identical output. The factor is
     Cholesky when the matrix is positive definite, otherwise an eigenvalue
     factorisation with negative eigenvalues clipped at zero, so semidefinite
-    boundary cases (perfectly correlated planes) sample cleanly. A
-    covariance with a non-finite entry raises ValueError.
+    boundary cases (perfectly correlated planes) sample cleanly. The
+    standard normal draws are made in one call and multiplied by the factor
+    in place, a block of rows at a time. A covariance with a non-finite
+    entry raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least one draw")
@@ -674,7 +678,9 @@ def sample(cov: CovarianceR, n: int, seed: int, basis=None,
         w, v = np.linalg.eigh(g)
         factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
     z = np.random.default_rng(seed).standard_normal((n, 4))
-    return SampleSet(z @ factor.T, seed=seed, basis=basis or cov.basis,
+    for span in qarray.row_blocks(n):
+        z[span] = z[span] @ factor.T
+    return SampleSet(z, seed=seed, basis=basis or cov.basis,
                      class_tag=class_tag, params=params)
 
 
@@ -687,20 +693,32 @@ def gaussian_pdf(q, cov: CovarianceR):
 
     One eigendecomposition g = V diag(w) V^T serves every row: the quadratic
     form is |x V diag(w)^-1/2|^2 and the normaliser comes from prod(w).
-    A covariance with a non-finite entry, or one that is not positive
-    definite, and a point with a non-finite component raise ValueError.
+    Rows are checked and evaluated a block at a time into one output, so
+    the temporaries do not grow with the number of rows. A covariance with
+    a non-finite entry, or one that is not positive definite, a point with
+    a non-finite component and an array whose last axis is not 4 raise
+    ValueError.
     """
     g = _real_face(cov)
     w, v = np.linalg.eigh((g + g.T) / 2.0)
     if w.min() <= 0.0:
         raise ValueError(f"covariance is singular: min eigenvalue {w.min():.6e}")
     x = q.to_vec() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite input: a component of q is nan or inf")
-    y = x @ (v / np.sqrt(w))
-    quad = np.einsum("...i,...i->...", y, y)
+    if x.ndim == 0 or x.shape[-1] != 4:
+        raise ValueError(f"expected (..., 4) component vectors, got shape {x.shape}")
+    # numpy multiplies a stack of one-row matrices row by row with gemv, so
+    # such a stack keeps its rows apart; anything else becomes (N, 4) rows
+    rows = x.reshape((-1, 1, 4) if x.ndim > 2 and x.shape[-2] == 1 else (-1, 4))
+    whiten = v / np.sqrt(w)
     norm = 1.0 / (_TWO_PI_SQ * np.sqrt(np.prod(w)))
-    out = norm * np.exp(-0.5 * quad)
+    out = np.empty(rows.shape[:-1])
+    for span in qarray.row_blocks(rows.shape[0]):
+        block = rows[span]
+        if not np.isfinite(block).all():
+            raise ValueError("non-finite input: a component of q is nan or inf")
+        y = block @ whiten
+        out[span] = norm * np.exp(-0.5 * np.einsum("...i,...i->...", y, y))
+    out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 

@@ -7,6 +7,25 @@ from __future__ import annotations
 
 import numpy as np
 
+# Rows per block of the n-row kernels: 256 KiB of float64 component rows, so
+# a kernel's temporaries stay a few blocks whatever the number of rows.
+ROW_BLOCK = 8192
+
+
+def row_blocks(n: int, size: int = ROW_BLOCK):
+    """Slices that cover range(n) in order, size rows each, except that the
+    last block takes a lone final row: no block has one row unless n == 1.
+    numpy multiplies a one-row matrix with gemv, whose bits differ from
+    gemm's, so a lone row would not match the same row of a one-shot
+    product."""
+    start = 0
+    while start < n:
+        stop = start + size
+        if stop + 1 >= n:
+            stop = n
+        yield slice(start, stop)
+        start = stop
+
 
 def hamilton(a1, b1, c1, d1, a2, b2, c2, d2):
     """Components of the Hamilton product (a1, b1, c1, d1)(a2, b2, c2, d2).

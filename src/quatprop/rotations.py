@@ -65,10 +65,22 @@ def is_so4(matrix: np.ndarray, tol: float = ATOL) -> So4Check:
 
 @dataclass(frozen=True)
 class DoubleRotation:
-    """The 4D rotation q -> u*q*v for unit quaternions u and v."""
+    """The 4D rotation q -> u*q*v for unit quaternions u and v.
+
+    A factor whose modulus differs from 1 by more than ATOL raises
+    ValueError; factors are kept as given, not renormalised (double_rotation
+    normalises any nonzero pair).
+    """
 
     u: Quaternion
     v: Quaternion
+
+    def __post_init__(self):
+        for name in ("u", "v"):
+            modulus = getattr(self, name).modulus()
+            if not abs(modulus - 1.0) <= ATOL:
+                raise ValueError(f"rotation factor {name} must be a unit "
+                                 f"quaternion, got modulus {modulus:.17g}")
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -78,8 +90,19 @@ class DoubleRotation:
         return self.u * q * self.v
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Rotate an (N, 4) array of component vectors."""
-        return qarray.mul(self.u.to_vec(), qarray.mul(rows, self.v.to_vec()))
+        """Rotate an (..., 4) array of component vectors, a block of rows at
+        a time into one output array of the same shape. An array whose last
+        axis is not 4 raises ValueError."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim == 0 or rows.shape[-1] != 4:
+            raise ValueError(f"expected (..., 4) component vectors, got shape "
+                             f"{rows.shape}")
+        flat = rows.reshape(-1, 4)
+        out = np.empty_like(flat)
+        u, v = self.u.to_vec(), self.v.to_vec()
+        for span in qarray.row_blocks(flat.shape[0]):
+            out[span] = qarray.mul(u, qarray.mul(flat[span], v))
+        return out.reshape(rows.shape)
 
 
 def unit_factor(q: Quaternion) -> Quaternion:

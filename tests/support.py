@@ -319,6 +319,41 @@ def faces_reference(params):
     return c, convert_reference(h, "real"), h
 
 
+# --- one-shot n-row kernels ---------------------------------------------------
+# sample, gaussian_pdf and DoubleRotation.apply_rows as whole-array
+# expressions; the package runs them over row blocks and must match these
+# bit for bit.
+
+def sample_reference(g, n, seed):
+    """n draws with real-face covariance g: one standard normal (n, 4) array
+    times the Cholesky factor's transpose, or, for a singular g, the
+    eigenvalue factor's."""
+    g = (g + g.T) / 2.0
+    try:
+        factor = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(g)
+        factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    return np.random.default_rng(seed).standard_normal((n, 4)) @ factor.T
+
+
+def gaussian_pdf_reference(x, g):
+    """The centred normal density with covariance g at every component
+    vector of an (..., 4) array, in one whitening product."""
+    w, v = np.linalg.eigh((g + g.T) / 2.0)
+    y = np.asarray(x, dtype=float) @ (v / np.sqrt(w))
+    quad = np.einsum("...i,...i->...", y, y)
+    norm = 1.0 / ((2.0 * np.pi) ** 2 * np.sqrt(np.prod(w)))
+    return norm * np.exp(-0.5 * quad)
+
+
+def apply_rows_reference(rotation, rows):
+    """u*q*v of every row of an (..., 4) array, in two whole-array
+    products."""
+    return qarray.mul(rotation.u.to_vec(),
+                      qarray.mul(rows, rotation.v.to_vec()))
+
+
 # Doubles a CSV writer must get right: negative zero, the smallest subnormal
 # and the largest finite values.
 EDGE_DOUBLES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]

@@ -170,19 +170,11 @@ def test_criterion_4_monte_carlo_reproduction(tmp_path):
 
 
 def test_criterion_5_estimator_consistency():
-    from quatprop import covariance_faces
+    from quatprop.estimation import estimator_consistency
     from support import general_params
 
-    params = general_params()
-    faces = covariance_from_params(params)
-    n = 10_000
-    bound = 5 * params.sigma2 / math.sqrt(n)
-    good = 0
-    for seed in range(50):
-        draws = sample(faces.r, n, seed=seed)
-        gh, _, _ = covariance_faces(draws.data, STANDARD_BASIS)
-        err = np.sqrt(np.sum((gh.matrix - faces.h.matrix) ** 2, axis=-1))
-        good += bool(np.max(err) <= bound)
+    worst, bound = estimator_consistency(general_params(), 10_000, range(50))
+    good = sum(w <= bound for w in worst)
     _report(5, "quaternion-face estimator consistency over 50 seeds",
             good >= 48, f"{good}/50 runs within 5*sigma2/sqrt(n)")
 

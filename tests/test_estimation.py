@@ -9,7 +9,8 @@ from quatprop import (ONE, I, J, K, Candidate, CovarianceR, HProperParams,
                       convert, covariance_faces, covariance_from_params,
                       sample, symmetry_residual, validate_basis,
                       via_class_alias)
-from quatprop.estimation import ComplementaryCovariances, axis_name
+from quatprop.estimation import (ComplementaryCovariances, axis_name,
+                                 estimator_consistency)
 from quatprop.gaussian import quaternion_face_from_gammas
 
 from support import (all_class_params, classify_reference, defining_rotations,
@@ -290,18 +291,9 @@ def test_axis_name_helper():
 # --- estimator consistency ----------------------------------------------------
 
 def test_quaternion_face_estimator_consistency():
-    params = general_params()
-    faces = covariance_from_params(params)
-    sigma2 = params.sigma2
-    n = 10_000
-    bound = 5 * sigma2 / np.sqrt(n)
-    ok = 0
-    for seed in range(50):
-        draws = sample(faces.r, n, seed=seed)
-        gh, _, _ = covariance_faces(draws.data, STANDARD_BASIS)
-        err = np.sqrt(np.sum((gh.matrix - faces.h.matrix) ** 2, axis=-1))
-        ok += bool(np.max(err) <= bound)
-    assert ok >= 48  # 95% of 50 runs
+    worst, bound = estimator_consistency(general_params(), 10_000, range(50))
+    assert len(worst) == 50 and bound == 0.05  # 5 sigma2 / sqrt(n)
+    assert sum(w <= bound for w in worst) >= 48  # 95% of 50 runs
 
 
 def test_classify_in_nonstandard_basis():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from quatprop import (ATOL, ONE, I, J, K, Quaternion, double_rotation,
-                      euler_form, is_so4, isoclinic_angles, left_matrix,
-                      right_matrix)
+from quatprop import (ATOL, ONE, I, J, K, DoubleRotation, Quaternion,
+                      double_rotation, euler_form, is_so4, isoclinic_angles,
+                      left_matrix, right_matrix)
 from quatprop.rotations import (left_matrices, right_matrices, rotation_matrices,
                                 unit_factor)
 
@@ -80,6 +80,30 @@ def test_double_rotation_renormalises():
     dr = double_rotation(Quaternion(2, 0, 0, 0), Quaternion(0, 0, 3, 0))
     assert abs(dr.u.modulus() - 1.0) <= ATOL
     assert abs(dr.v.modulus() - 1.0) <= ATOL
+
+
+def test_double_rotation_refuses_factors_that_are_not_unit():
+    two = Quaternion(2.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="factor u must be a unit quaternion"):
+        DoubleRotation(two, ONE)
+    with pytest.raises(ValueError, match="factor v must be a unit quaternion"):
+        DoubleRotation(ONE, Quaternion(0.0, 1.0 + 1e-11, 0.0, 0.0))
+    with pytest.raises(ValueError, match="modulus nan"):
+        DoubleRotation(ONE, Quaternion(np.nan, 0.0, 0.0, 0.0))
+    # within ATOL of 1, the factor is kept as given
+    near = Quaternion(0.0, 0.0, 1.0 + 1e-13, 0.0)
+    assert DoubleRotation(near, ONE).u is near
+
+
+def test_double_rotation_matrix_is_its_normalised_factors_product():
+    # the factor check changes no bit of the matrix double_rotation builds
+    rng = np.random.default_rng(28)
+    for scale in (1e-100, 1e-3, 1.0, 7.5, 1e100):
+        for _ in range(50):
+            u, v = rand_quaternion(rng, scale), rand_quaternion(rng, scale)
+            expected = rotation_matrices((u / u.modulus()).to_vec(),
+                                         (v / v.modulus()).to_vec())
+            assert double_rotation(u, v).matrix.tobytes() == expected.tobytes()
 
 
 def test_double_rotation_composition_law():

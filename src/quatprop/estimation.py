@@ -19,7 +19,7 @@ from .gaussian import (CovarianceR, MuMuParams, MuOneParams, MuSameParams,
                        OneMuParams, PropernessTag, _complex_face, _real_face,
                        covariance_from_params, quaternion_face_from_gammas,
                        quaternion_face_map, sample)
-from .rotations import double_rotation, rotation_matrices, unit_factor
+from .rotations import double_rotation, left_matrix, right_matrix, unit_factor
 
 
 def _as_rows(samples, least: int, purpose: str = "") -> np.ndarray:
@@ -221,8 +221,8 @@ _TIERS = ((MuMuParams, MuSameParams), (MuOneParams, OneMuParams))
 _TIER_CANDIDATES = [[(cls.tag, tuple(dict.fromkeys(i for i in uv if i < 3)))
                      for cls in tier for uv in cls.rotations]
                     for tier in _TIERS]
-_ROTATION_UV = np.array([uv for tier in _TIERS for cls in tier
-                         for uv in cls.rotations])
+_ROTATION_U, _ROTATION_V = np.array([uv for tier in _TIERS for cls in tier
+                                     for uv in cls.rotations]).T
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -253,7 +253,7 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
     # double_rotation makes them, then every M = L(u) R(v), and its defect,
     # in one stack
     units = np.array([unit_factor(q).to_vec() for q in (*basis.axes, ONE)])
-    m = rotation_matrices(*units[_ROTATION_UV.T])
+    m = left_matrix(units[_ROTATION_U]) @ right_matrix(units[_ROTATION_V])
     residuals = iter(_rotation_residuals(s, m, cc.sigma2).tolist())
     tiers = [[Candidate(PropernessTag.H_PROPER, (), h_resid)]]
     tiers += [[Candidate(tag, axes, next(residuals)) for tag, axes in tier]

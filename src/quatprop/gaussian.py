@@ -19,8 +19,8 @@ real matrices is rejected.
 
 Each symmetry class (invariance of the distribution under a fixed double
 rotation q -> u*q*v with axes from the basis) pins a sparse pattern on the
-complex face; those patterns are constructed here from the class's moment
-constraints and mapped exactly onto the other faces through S.
+complex face; each *Params class builds it from its moment constraints,
+and it is mapped exactly onto the other faces through S.
 """
 
 import cmath
@@ -40,8 +40,8 @@ import numpy as np
 from . import qarray
 from .core import ATOL, Quaternion, QuaternionBasis, STANDARD_BASIS
 
-# Estimated or constructed covariances may dip this far below zero before we
-# call them indefinite.
+# A covariance is indefinite when an eigenvalue is below PSD_FLOOR times
+# max(1, its largest |eigenvalue|): roundoff grows with the scale.
 PSD_FLOOR = -1e-10
 
 _TWO_PI_SQ = (2.0 * np.pi) ** 2
@@ -78,6 +78,19 @@ class _ParamsBase:
                      else (value,))
             if not all(map(cmath.isfinite, parts)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+
+    def chart(self):
+        """The face the parameters fix: the complex face of moments(), the
+        pair's second moments c11, c22, c12 = E[z1 z2*], p11 = E[z1^2],
+        p22 = E[z2^2] and p12 = E[z1 z2]."""
+        c11, c22, c12, p11, p22, p12 = map(complex, self.moments())
+        cj = np.conj
+        return CovarianceC(np.array([
+            [c11,      p11,     c12,      p12],
+            [cj(p11),  c11,     cj(p12),  cj(c12)],
+            [cj(c12),  p12,     c22,      p22],
+            [cj(p12),  c12,     cj(p22),  c22],
+        ]), self.basis)
 
     @classmethod
     def param_fields(cls):
@@ -116,6 +129,10 @@ class MuMuParams(_ParamsBase):
     rotations: ClassVar[tuple] = tuple((r, s) for r in range(3)
                                        for s in range(3) if r != s)
 
+    def moments(self):
+        return (self.sigma2, self.sigma2, 1j * self.delta,
+                self.alpha, -self.alpha, self.alpha)
+
 
 @dataclass(frozen=True)
 class MuOneParams(_ParamsBase):
@@ -130,6 +147,9 @@ class MuOneParams(_ParamsBase):
     tag: ClassVar[PropernessTag] = PropernessTag.MU_ONE
     rotations: ClassVar[tuple] = tuple((r, 3) for r in range(3))
 
+    def moments(self):
+        return (self.sigma2, self.varsigma2, self.omega, 0.0, 0.0, 0.0)
+
 
 @dataclass(frozen=True)
 class OneMuParams(_ParamsBase):
@@ -143,6 +163,9 @@ class OneMuParams(_ParamsBase):
 
     tag: ClassVar[PropernessTag] = PropernessTag.ONE_MU
     rotations: ClassVar[tuple] = tuple((3, r) for r in range(3))
+
+    def moments(self):
+        return (self.sigma2, self.varsigma2, 0.0, 0.0, 0.0, self.omega)
 
 
 @dataclass(frozen=True)
@@ -159,6 +182,9 @@ class MuSameParams(_ParamsBase):
     tag: ClassVar[PropernessTag] = PropernessTag.MU_SAME
     rotations: ClassVar[tuple] = tuple((r, r) for r in range(3))
 
+    def moments(self):
+        return (self.sigma2, self.varsigma2, 0.0, self.alpha, self.delta, 0.0)
+
 
 @dataclass(frozen=True)
 class HProperParams(_ParamsBase):
@@ -169,6 +195,9 @@ class HProperParams(_ParamsBase):
     basis: QuaternionBasis = STANDARD_BASIS
 
     tag: ClassVar[PropernessTag] = PropernessTag.H_PROPER
+
+    def moments(self):
+        return (self.sigma2 / 2.0, self.sigma2 / 2.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -194,6 +223,10 @@ class GeneralParams(_ParamsBase):
                 raise ValueError(
                     f"gamma{idx} must have no component on its own axis "
                     f"(found {coord:.3e})")
+
+    def chart(self):
+        return quaternion_face_from_gammas(self.sigma2, self.gamma1,
+                                           self.gamma2, self.gamma3, self.basis)
 
 
 # in this order the union of the classes' fields is generate's flag order
@@ -392,57 +425,23 @@ def quaternion_face_from_gammas(sigma2: float, gamma1: Quaternion,
 # ---------------------------------------------------------------------------
 # construction from class parameters
 
-def _moments_for(params):
-    """The pair's second moments a class's parameters fix: variances c11,
-    c22, cross-covariance c12 = E[z1 z2*] and pseudo-(co)variances
-    p11 = E[z1^2], p22 = E[z2^2], p12 = E[z1 z2]."""
-    tag = params.tag
-    if tag is PropernessTag.MU_MU:
-        return (params.sigma2, params.sigma2, 1j * params.delta,
-                params.alpha, -params.alpha, params.alpha)
-    if tag is PropernessTag.MU_ONE:
-        return (params.sigma2, params.varsigma2, params.omega, 0.0, 0.0, 0.0)
-    if tag is PropernessTag.ONE_MU:
-        return (params.sigma2, params.varsigma2, 0.0, 0.0, 0.0, params.omega)
-    if tag is PropernessTag.MU_SAME:
-        return (params.sigma2, params.varsigma2, 0.0,
-                params.alpha, params.delta, 0.0)
-    if tag is PropernessTag.H_PROPER:
-        half = params.sigma2 / 2.0
-        return (half, half, 0.0, 0.0, 0.0, 0.0)
-    raise ValueError(f"no complex-face moments for class {tag}")
-
-
-def _chart(params):
-    """The face a class's parameters fix: the gammas' quaternion face for
-    general, else the complex face of _moments_for's second moments."""
-    if params.tag is PropernessTag.GENERAL:
-        return quaternion_face_from_gammas(params.sigma2, params.gamma1,
-                                           params.gamma2, params.gamma3,
-                                           params.basis)
-    c11, c22, c12, p11, p22, p12 = map(complex, _moments_for(params))
-    cj = np.conj
-    return CovarianceC(np.array([
-        [c11,      p11,     c12,      p12],
-        [cj(p11),  c11,     cj(p12),  cj(c12)],
-        [cj(c12),  p12,     c22,      p22],
-        [cj(p12),  c12,     cj(p22),  c22],
-    ]), params.basis)
+def _refuse_indefinite(g: np.ndarray, what: str):
+    """Raise ValueError "<what>: min eigenvalue ..." if g is indefinite."""
+    w = np.linalg.eigvalsh(g)
+    if w[0] < PSD_FLOOR * max(1.0, -w[0], w[-1]):
+        raise ValueError(f"{what}: min eigenvalue {w[0]:.6e}")
 
 
 def covariance_from_params(params) -> CovarianceFaces:
     """Build all three covariance faces for a symmetry class: the face its
     chart fixes, the real face S of that face, and the other face from S.
 
-    Parameters whose real-face covariance is indefinite are rejected, with
-    the most negative eigenvalue reported.
+    Parameters whose real-face covariance is indefinite (see PSD_FLOOR) are
+    rejected, with the most negative eigenvalue reported.
     """
-    given, basis = _chart(params), params.basis
+    given, basis = params.chart(), params.basis
     gr = _real_face(given)
-    lam_min = float(np.linalg.eigvalsh(gr).min())
-    if lam_min < PSD_FLOOR:
-        raise ValueError("parameters give an indefinite covariance: "
-                         f"min eigenvalue {lam_min:.6e}")
+    _refuse_indefinite(gr, "parameters give an indefinite covariance")
     c = given if isinstance(given, CovarianceC) else _complex_face(gr, basis)
     h = given if isinstance(given, CovarianceH) else _quaternion_face(gr, basis)
     return CovarianceFaces(c, CovarianceR(gr, basis), h)
@@ -450,6 +449,14 @@ def covariance_from_params(params) -> CovarianceFaces:
 
 # ---------------------------------------------------------------------------
 # sampling
+
+def _sample_rows(rows) -> np.ndarray:
+    """rows as a float array; anything but (n >= 1, 4) raises ValueError."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 4 or rows.shape[0] < 1:
+        raise ValueError(f"sample array must be (n >= 1, 4), got {rows.shape}")
+    return rows
+
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -463,10 +470,7 @@ class SampleSet:
     params: Optional[dict] = None
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape[1] != 4 or data.shape[0] < 1:
-            raise ValueError(f"sample array must be (n >= 1, 4), got {data.shape}")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _sample_rows(self.data))
 
     @property
     def n(self) -> int:
@@ -507,16 +511,16 @@ _CSV_BLOCK_ROWS = 1024
 _CSV_PLAIN_BYTES = b"0123456789+-.eE,\n \t"
 
 
-def write_sample_csv(path, rows: np.ndarray, header: str = "a,b,c,d"):
-    """CSV with the given header, every value as "%.17g" (17 significant
-    digits, which read back exactly) and LF line endings."""
-    write_column_csvs(rows, [(path, range(np.shape(rows)[1]), header)])
+def write_sample_csv(path, rows: np.ndarray):
+    """CSV with header a,b,c,d, every value as "%.17g" (17 significant
+    digits, which read back exactly) and LF line endings; see _sample_rows."""
+    write_column_csvs(_sample_rows(rows), [(path, range(4), "a,b,c,d")])
 
 
 def write_column_csvs(rows: np.ndarray, outputs):
     """Write several CSVs that each hold some of rows' columns. outputs is a
-    list of (path, columns, header); each file equals
-    write_sample_csv(path, rows[:, columns], header) byte for byte. Each
+    list of (path, columns, header); each file holds its header line, then
+    rows[:, columns] as write_sample_csv writes a sample's values. Each
     block of rows is formatted once, column-major, whatever files its values
     go to, so memory does not grow with the number of rows. A row with a nan
     or inf raises ValueError naming the 1-based line it would land on (the
@@ -660,18 +664,16 @@ def sample(cov: CovarianceR, n: int, seed: int, basis=None,
     Identical (seed, n, covariance) give bit-identical output. The factor is
     Cholesky when the matrix is positive definite, otherwise an eigenvalue
     factorisation with negative eigenvalues clipped at zero, so semidefinite
-    boundary cases (perfectly correlated planes) sample cleanly. The
-    standard normal draws are made in one call and multiplied by the factor
-    in place, a block of rows at a time. A covariance with a non-finite
-    entry raises ValueError.
+    boundary cases (perfectly correlated planes) sample cleanly at any
+    scale. The standard normal draws are made in one call and multiplied by
+    the factor in place, a block of rows at a time. A non-finite or
+    indefinite (see PSD_FLOOR) covariance raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least one draw")
     g = np.asarray(_real_face(cov), dtype=float)
     g = (g + g.T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(g).min())
-    if lam_min < PSD_FLOOR:
-        raise ValueError(f"covariance is indefinite: min eigenvalue {lam_min:.6e}")
+    _refuse_indefinite(g, "covariance is indefinite")
     try:
         factor = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:

@@ -18,34 +18,18 @@ from . import qarray
 from .core import ATOL, Quaternion, euler_form
 
 
-def left_matrix(q: Quaternion) -> np.ndarray:
-    """Matrix of p -> q*p acting on component vectors: column j is q*e_j."""
-    return left_matrices(q.to_vec())
+def left_matrix(q) -> np.ndarray:
+    """Matrix of p -> q*p acting on component vectors: column j is q*e_j.
+    A (..., 4) array q gives the matrices of its rows, (..., 4, 4)."""
+    q = q.to_vec() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
+    return np.swapaxes(qarray.mul(q[..., None, :], np.eye(4)), -1, -2)
 
 
-def right_matrix(q: Quaternion) -> np.ndarray:
-    """Matrix of p -> p*q acting on component vectors: column j is e_j*q."""
-    return right_matrices(q.to_vec())
-
-
-def left_matrices(q) -> np.ndarray:
-    """left_matrix of each component vector in a (..., 4) array, stacked
-    into a (..., 4, 4) array."""
-    q = np.asarray(q, dtype=float)[..., None, :]
-    return np.swapaxes(qarray.mul(q, np.eye(4)), -1, -2)
-
-
-def right_matrices(q) -> np.ndarray:
-    """right_matrix of each component vector in a (..., 4) array, stacked
-    into a (..., 4, 4) array."""
-    q = np.asarray(q, dtype=float)[..., None, :]
-    return np.swapaxes(qarray.mul(np.eye(4), q), -1, -2)
-
-
-def rotation_matrices(u, v) -> np.ndarray:
-    """L(u) R(v), the matrix of q -> u*q*v, for each pair of rows of two
-    (..., 4) arrays of component vectors, stacked into a (..., 4, 4) array."""
-    return left_matrices(u) @ right_matrices(v)
+def right_matrix(q) -> np.ndarray:
+    """Matrix of p -> p*q acting on component vectors: column j is e_j*q.
+    A (..., 4) array q gives the matrices of its rows, (..., 4, 4)."""
+    q = q.to_vec() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
+    return np.swapaxes(qarray.mul(np.eye(4), q[..., None, :]), -1, -2)
 
 
 class So4Check(NamedTuple):
@@ -84,7 +68,7 @@ class DoubleRotation:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return rotation_matrices(self.u.to_vec(), self.v.to_vec())
+        return left_matrix(self.u) @ right_matrix(self.v)
 
     def apply(self, q: Quaternion) -> Quaternion:
         return self.u * q * self.v

@@ -1,6 +1,8 @@
+import cmath
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +72,50 @@ def test_onemu_entries():
 def test_indefinite_params_rejected_with_eigenvalue():
     with pytest.raises(ValueError, match="eigenvalue"):
         covariance_from_params(MuMuParams(1.0, 0.9 + 0.4j, 0.3))
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1], ids=["standard", "rand0", "rand1"])
+def test_each_class_builds_its_own_chart(seed):
+    # the printed complex pattern, or for general the quaternion template,
+    # and covariance_from_params keeps the chart's bits as that face
+    basis = STANDARD_BASIS if seed is None else rand_basis(np.random.default_rng(seed))
+    for tag, params in all_class_params(basis).items():
+        c, _, h = faces_reference(params)
+        want = h if tag == "general" else c
+        chart = params.chart()
+        assert type(chart) is type(want) and chart.basis is basis, tag
+        assert np.max(np.abs(chart.matrix - want.matrix)) <= 1e-12, tag
+        faces = covariance_from_params(params)
+        built = faces.h if tag == "general" else faces.c
+        assert built.matrix.tobytes() == chart.matrix.tobytes(), tag
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([MuOneParams, OneMuParams]),
+       st.sampled_from([1.0, 1e4, 1e8]), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 2 * math.pi))
+def test_boundary_params_build_and_sample_at_any_scale(cls, scale, seed, phi):
+    # |omega|^2 = sigma2 varsigma2 is the semidefinite boundary; its
+    # roundoff grows with the scale and is not indefiniteness. 1e-5 past the
+    # boundary, the min eigenvalue is below -1e-6 scale and is refused
+    rng = np.random.default_rng(seed)
+    basis = rand_basis(rng)
+    omega = math.sqrt(2.0) * scale * cmath.exp(1j * phi)
+    faces = covariance_from_params(cls(scale, 2 * scale, omega, basis))
+    assert np.isfinite(sample(faces.r, 50, seed).data).all()
+    over = cls(scale, 2 * scale, omega * (1 + 1e-5), basis)
+    c = expected_complex_face(cls.tag.value, over)
+    g = convert_reference(CovarianceC(c, basis), "real").matrix
+    assert np.linalg.eigvalsh(g).min() < -1e-6 * scale
+    with pytest.raises(ValueError, match="^parameters give an indefinite "
+                                         "covariance: min eigenvalue -"):
+        covariance_from_params(over)
+    # a covariance with eigenvalues scale * (-1e-6, 1, 2, 3) in a random frame
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    g = q @ np.diag(scale * np.array([-1e-6, 1.0, 2.0, 3.0])) @ q.T
+    with pytest.raises(ValueError, match="^covariance is indefinite: min "
+                                         "eigenvalue -"):
+        sample(CovarianceR(g), 10, seed)
 
 
 def test_general_params_reject_structural_violation():
@@ -558,7 +604,10 @@ def test_sample_csv_matches_reference_io(tmp_path_factory, n, cols, seed, drawn)
     flat[rng.integers(0, flat.size, size=extra.size)] = extra
     header = "a,b,c,d" if cols == 4 else "re,im_i"
     out = tmp_path_factory.mktemp("csv")
-    write_sample_csv(out / "fast.csv", x, header=header)
+    if cols == 4:
+        write_sample_csv(out / "fast.csv", x)
+    else:
+        write_column_csvs(x, [(out / "fast.csv", range(cols), header)])
     write_sample_csv_reference(out / "ref.csv", x, header=header)
     assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
     if cols == 4:
@@ -612,6 +661,16 @@ def test_sample_csv_writer_refuses_non_finite_values(bad, tmp_path):
         SampleSet(x, seed=0).save(tmp_path / "s.csv", tmp_path / "s.json")
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
     assert kept.read_text() == "kept"
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 4), (0, 4)])
+def test_sample_csv_writer_refuses_what_the_reader_refuses(shape, tmp_path):
+    # a sample CSV holds n >= 1 rows of 4 values; any other array is refused
+    # before a file is opened
+    message = rf"^sample array must be \(n >= 1, 4\), got {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        write_sample_csv(tmp_path / "d.csv", np.ones(shape))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_sample_csv_reports_line_numbers(tmp_path):

@@ -4,8 +4,7 @@ import pytest
 from quatprop import (ATOL, ONE, I, J, K, DoubleRotation, Quaternion,
                       double_rotation, euler_form, is_so4, isoclinic_angles,
                       left_matrix, right_matrix)
-from quatprop.rotations import (left_matrices, right_matrices, rotation_matrices,
-                                unit_factor)
+from quatprop.rotations import unit_factor
 
 from support import rand_quaternion, rand_unit
 
@@ -101,8 +100,8 @@ def test_double_rotation_matrix_is_its_normalised_factors_product():
     for scale in (1e-100, 1e-3, 1.0, 7.5, 1e100):
         for _ in range(50):
             u, v = rand_quaternion(rng, scale), rand_quaternion(rng, scale)
-            expected = rotation_matrices((u / u.modulus()).to_vec(),
-                                         (v / v.modulus()).to_vec())
+            expected = (left_matrix((u / u.modulus()).to_vec())
+                        @ right_matrix((v / v.modulus()).to_vec()))
             assert double_rotation(u, v).matrix.tobytes() == expected.tobytes()
 
 
@@ -197,8 +196,8 @@ def test_stacked_matrices_hold_the_products_with_each_unit():
     rng = np.random.default_rng(25)
     qs = [rand_quaternion(rng) for _ in range(50)]
     units = [ONE, I, J, K]
-    lefts = left_matrices([q.to_vec() for q in qs])
-    rights = right_matrices([q.to_vec() for q in qs])
+    lefts = left_matrix([q.to_vec() for q in qs])
+    rights = right_matrix([q.to_vec() for q in qs])
     assert lefts.shape == rights.shape == (50, 4, 4)
     for q, lq, rq in zip(qs, lefts, rights):
         for j, e in enumerate(units):
@@ -212,8 +211,8 @@ def test_rotation_matrices_stack_double_rotation_matrices():
     rng = np.random.default_rng(26)
     us = [rand_quaternion(rng) for _ in range(30)]
     vs = [rand_quaternion(rng) for _ in range(30)]
-    m = rotation_matrices([unit_factor(u).to_vec() for u in us],
-                          [unit_factor(v).to_vec() for v in vs])
+    m = (left_matrix([unit_factor(u).to_vec() for u in us])
+         @ right_matrix([unit_factor(v).to_vec() for v in vs]))
     assert m.shape == (30, 4, 4)
     for mi, u, v in zip(m, us, vs):
         assert np.array_equal(mi, double_rotation(u, v).matrix)
@@ -245,3 +244,23 @@ def test_rotation_factor_modulus_must_be_positive_and_finite():
     # nonzero, but |q|^2 underflows to 0
     with pytest.raises(ValueError, match="modulus 1.000e-200"):
         unit_factor(Quaternion(1e-200, 0.0, 0.0, 0.0))
+
+
+def _per_element(q, side):
+    # column j is q*e_j (left) or e_j*q (right), one Quaternion product each
+    units = (ONE, I, J, K)
+    return np.column_stack([(q * e if side == "left" else e * q).to_vec()
+                            for e in units])
+
+
+@pytest.mark.parametrize("shape", [(4,), (5, 4), (2, 3, 4)])
+def test_matrix_builders_take_quaternions_and_stacks_alike(shape):
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=shape)
+    for build, side in ((left_matrix, "left"), (right_matrix, "right")):
+        m = build(x)
+        assert m.shape == shape[:-1] + (4, 4)
+        for idx in np.ndindex(shape[:-1]):
+            q = Quaternion.from_vec(x[idx])
+            want = _per_element(q, side).tobytes()
+            assert m[idx].tobytes() == build(q).tobytes() == want, (side, idx)

@@ -25,8 +25,8 @@ from quatprop.cli import main as cli_main
 
 def run_dataset(name, params, out_dir, n, seed):
     faces = covariance_from_params(params)
-    draws = sample(faces.r, n, seed, basis=params.basis,
-                   class_tag=params.tag.value, params=params.param_dict())
+    draws = sample(faces.r, n, seed, class_tag=params.tag.value,
+                   params=params.param_dict())
     csv_path = out_dir / f"{name}.csv"
     draws.save(csv_path, out_dir / f"{name}.json")
 

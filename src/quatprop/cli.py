@@ -195,8 +195,8 @@ def cmd_generate(args) -> int:
         faces = covariance_from_params(params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    draws = sample(faces.r, args.n, args.seed, basis=basis,
-                   class_tag=params.tag.value, params=params.param_dict())
+    draws = sample(faces.r, args.n, args.seed, class_tag=params.tag.value,
+                   params=params.param_dict())
     with _writing(out, out.parent):
         draws.save(out, sidecar)
     print(f"wrote {draws.n} draws to {out}", file=sys.stderr)

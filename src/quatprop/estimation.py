@@ -14,22 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qarray
 from .core import ONE, Quaternion, QuaternionBasis
 from .gaussian import (CovarianceR, MuMuParams, MuOneParams, MuSameParams,
                        OneMuParams, PropernessTag, _complex_face, _real_face,
                        covariance_from_params, quaternion_face_from_gammas,
                        quaternion_face_map, sample)
 from .rotations import double_rotation, left_matrix, right_matrix, unit_factor
-
-
-def _as_rows(samples, least: int, purpose: str = "") -> np.ndarray:
-    data = getattr(samples, "data", samples)
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 4:
-        raise ValueError(f"expected an (n, 4) sample array, got {data.shape}")
-    if data.shape[0] < least:
-        raise ValueError(f"need at least {least} samples{purpose}")
-    return data
 
 
 @dataclass(frozen=True)
@@ -82,7 +73,7 @@ def complementary_covariances(samples, basis: QuaternionBasis,
     Variables are treated as centred by construction; pass center=True to
     subtract the sample mean first (real data).
     """
-    return _moments(_as_rows(samples, 2), basis, center)[1]
+    return _moments(qarray.sample_rows(samples, 2), basis, center)[1]
 
 
 def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
@@ -92,7 +83,7 @@ def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
     quaternion face is assembled from sigma2 and gamma1..3 of S, and the
     complex face is the fixed linear map of S (see convert).
     """
-    s, cc = _moments(_as_rows(samples, 5), basis, center)
+    s, cc = _moments(qarray.sample_rows(samples, 5), basis, center)
     gh = quaternion_face_from_gammas(cc.sigma2, *cc.gammas, basis)
     return gh, _complex_face(s, basis), CovarianceR(s, basis)
 
@@ -241,7 +232,7 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
     """
     if not math.isfinite(c) or c <= 0.0:
         raise ValueError(f"c must be positive and finite, got {c!r}")
-    x = _as_rows(samples, 100, " to classify")
+    x = qarray.sample_rows(samples, 100, " to classify")
     n = x.shape[0]
     s, cc = _moments(x, basis, center)
     if cc.sigma2 <= 0.0:

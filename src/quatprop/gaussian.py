@@ -245,10 +245,6 @@ class CovarianceR:
     matrix: np.ndarray
     basis: QuaternionBasis = STANDARD_BASIS
 
-    def as_dict(self):
-        return {"face": "real", "matrix": self.matrix.tolist(),
-                "basis": _basis_dict(self.basis)}
-
 
 @dataclass(frozen=True)
 class CovarianceC:
@@ -257,11 +253,6 @@ class CovarianceC:
 
     matrix: np.ndarray
     basis: QuaternionBasis = STANDARD_BASIS
-
-    def as_dict(self):
-        return {"face": "complex", "real": self.matrix.real.tolist(),
-                "imag": self.matrix.imag.tolist(),
-                "basis": _basis_dict(self.basis)}
 
 
 @dataclass(frozen=True)
@@ -274,10 +265,6 @@ class CovarianceH:
 
     def entry(self, i: int, j: int) -> Quaternion:
         return Quaternion.from_vec(self.matrix[i, j])
-
-    def as_dict(self):
-        return {"face": "quaternion", "matrix": self.matrix.tolist(),
-                "basis": _basis_dict(self.basis)}
 
 
 def _basis_dict(basis: QuaternionBasis):
@@ -450,14 +437,6 @@ def covariance_from_params(params) -> CovarianceFaces:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _sample_rows(rows) -> np.ndarray:
-    """rows as a float array; anything but (n >= 1, 4) raises ValueError."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 4 or rows.shape[0] < 1:
-        raise ValueError(f"sample array must be (n >= 1, 4), got {rows.shape}")
-    return rows
-
-
 @dataclass(frozen=True)
 class SampleSet:
     """Draws of a quaternion variable, one (a, b, c, d) row per draw, plus
@@ -470,7 +449,7 @@ class SampleSet:
     params: Optional[dict] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _sample_rows(self.data))
+        object.__setattr__(self, "data", qarray.sample_rows(self.data))
 
     @property
     def n(self) -> int:
@@ -513,8 +492,9 @@ _CSV_PLAIN_BYTES = b"0123456789+-.eE,\n \t"
 
 def write_sample_csv(path, rows: np.ndarray):
     """CSV with header a,b,c,d, every value as "%.17g" (17 significant
-    digits, which read back exactly) and LF line endings; see _sample_rows."""
-    write_column_csvs(_sample_rows(rows), [(path, range(4), "a,b,c,d")])
+    digits, which read back exactly) and LF line endings; rows must pass
+    qarray.sample_rows."""
+    write_column_csvs(qarray.sample_rows(rows), [(path, range(4), "a,b,c,d")])
 
 
 def write_column_csvs(rows: np.ndarray, outputs):
@@ -657,8 +637,8 @@ def _scan_sample_rows(lines) -> np.ndarray:
     return np.array(rows)
 
 
-def sample(cov: CovarianceR, n: int, seed: int, basis=None,
-           class_tag=None, params=None) -> SampleSet:
+def sample(cov: CovarianceR, n: int, seed: int, class_tag=None,
+           params=None) -> SampleSet:
     """Draw n centred Gaussian quaternions with the given real-face covariance.
 
     Identical (seed, n, covariance) give bit-identical output. The factor is
@@ -682,8 +662,8 @@ def sample(cov: CovarianceR, n: int, seed: int, basis=None,
     z = np.random.default_rng(seed).standard_normal((n, 4))
     for span in qarray.row_blocks(n):
         z[span] = z[span] @ factor.T
-    return SampleSet(z, seed=seed, basis=basis or cov.basis,
-                     class_tag=class_tag, params=params)
+    return SampleSet(z, seed=seed, basis=cov.basis, class_tag=class_tag,
+                     params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +685,7 @@ def gaussian_pdf(q, cov: CovarianceR):
     w, v = np.linalg.eigh((g + g.T) / 2.0)
     if w.min() <= 0.0:
         raise ValueError(f"covariance is singular: min eigenvalue {w.min():.6e}")
-    x = q.to_vec() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != 4:
-        raise ValueError(f"expected (..., 4) component vectors, got shape {x.shape}")
+    x = qarray.components(q)
     # numpy multiplies a stack of one-row matrices row by row with gemv, so
     # such a stack keeps its rows apart; anything else becomes (N, 4) rows
     rows = x.reshape((-1, 1, 4) if x.ndim > 2 and x.shape[-2] == 1 else (-1, 4))

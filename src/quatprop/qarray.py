@@ -1,11 +1,39 @@
 """Vectorised quaternion operations on (..., 4) component arrays.
 
-Rows follow the (a, b, c, d) component order of :mod:`quatprop.core`.
+Rows follow the (a, b, c, d) component order of :mod:`quatprop.core`. The
+two array contracts of the package are checked here, once each:
+:func:`components` for (..., 4) component vectors and :func:`sample_rows`
+for (n, 4) sample arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def components(q) -> np.ndarray:
+    """q as (..., 4) component vectors: a Quaternion (anything with to_vec)
+    gives its 4 components, anything else a float array. Any other last
+    axis raises ValueError."""
+    x = q.to_vec() if hasattr(q, "to_vec") else np.asarray(q, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != 4:
+        raise ValueError(f"expected (..., 4) component vectors, got shape {x.shape}")
+    return x
+
+
+def sample_rows(samples, least: int = 1, purpose: str = "") -> np.ndarray:
+    """The draws of samples (an array, or anything with .data such as a
+    SampleSet) as an (n, 4) float array. Any other shape, n = 0 included,
+    and fewer than least rows raise ValueError."""
+    if not isinstance(samples, np.ndarray):  # an ndarray's .data is its buffer
+        samples = getattr(samples, "data", samples)
+    rows = np.asarray(samples, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 4 or rows.shape[0] < 1:
+        raise ValueError(f"sample array must be (n >= 1, 4), got {rows.shape}")
+    if rows.shape[0] < least:
+        raise ValueError(f"need at least {least} samples{purpose}")
+    return rows
+
 
 # Rows per block of the n-row kernels: 256 KiB of float64 component rows, so
 # a kernel's temporaries stay a few blocks whatever the number of rows.

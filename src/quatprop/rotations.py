@@ -21,14 +21,14 @@ from .core import ATOL, Quaternion, euler_form
 def left_matrix(q) -> np.ndarray:
     """Matrix of p -> q*p acting on component vectors: column j is q*e_j.
     A (..., 4) array q gives the matrices of its rows, (..., 4, 4)."""
-    q = q.to_vec() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
+    q = qarray.components(q)
     return np.swapaxes(qarray.mul(q[..., None, :], np.eye(4)), -1, -2)
 
 
 def right_matrix(q) -> np.ndarray:
     """Matrix of p -> p*q acting on component vectors: column j is e_j*q.
     A (..., 4) array q gives the matrices of its rows, (..., 4, 4)."""
-    q = q.to_vec() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
+    q = qarray.components(q)
     return np.swapaxes(qarray.mul(np.eye(4), q[..., None, :]), -1, -2)
 
 
@@ -77,10 +77,7 @@ class DoubleRotation:
         """Rotate an (..., 4) array of component vectors, a block of rows at
         a time into one output array of the same shape. An array whose last
         axis is not 4 raises ValueError."""
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim == 0 or rows.shape[-1] != 4:
-            raise ValueError(f"expected (..., 4) component vectors, got shape "
-                             f"{rows.shape}")
+        rows = qarray.components(rows)
         flat = rows.reshape(-1, 4)
         out = np.empty_like(flat)
         u, v = self.u.to_vec(), self.v.to_vec()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from quatprop import (ONE, I, J, K, Candidate, CovarianceR, HProperParams,
                       via_class_alias)
 from quatprop.estimation import (ComplementaryCovariances, axis_name,
                                  estimator_consistency)
-from quatprop.gaussian import quaternion_face_from_gammas
+from quatprop.gaussian import (SampleSet, quaternion_face_from_gammas,
+                               write_sample_csv)
 
 from support import (all_class_params, classify_reference, defining_rotations,
                      general_params, per_sample_moments, rand_basis)
@@ -28,6 +31,26 @@ def test_two_real_unit_draws():
 def test_complementary_covariances_need_two_samples():
     with pytest.raises(ValueError):
         complementary_covariances(np.zeros((1, 4)), STANDARD_BASIS)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 4), (0, 4)])
+def test_every_sample_entry_point_refuses_a_bad_shape_alike(shape, tmp_path):
+    # one (n >= 1, 4) contract, so one message wherever draws come in
+    x = np.ones(shape)
+    message = rf"^sample array must be \(n >= 1, 4\), got {re.escape(str(shape))}$"
+    for entry in (lambda: SampleSet(x, seed=0),
+                  lambda: write_sample_csv(tmp_path / "d.csv", x),
+                  lambda: complementary_covariances(x, STANDARD_BASIS),
+                  lambda: covariance_faces(x, STANDARD_BASIS),
+                  lambda: classify(x, STANDARD_BASIS)):
+        with pytest.raises(ValueError, match=message):
+            entry()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_too_few_rows_of_the_right_shape_are_counted():
+    with pytest.raises(ValueError, match="^need at least 2 samples$"):
+        complementary_covariances(np.ones((1, 4)), STANDARD_BASIS)
 
 
 def test_hproper_complementary_covariances_vanish():

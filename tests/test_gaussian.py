@@ -724,16 +724,6 @@ def test_read_sample_csv_reports_line_numbers(tmp_path):
     assert str(got.value) == str(ref.value)
 
 
-def test_covariance_faces_serialize(tmp_path):
-    faces = covariance_from_params(all_class_params()["musame"])
-    blob = json.dumps({"r": faces.r.as_dict(), "c": faces.c.as_dict(),
-                       "h": faces.h.as_dict()})
-    data = json.loads(blob)
-    assert np.allclose(data["r"]["matrix"], faces.r.matrix)
-    assert np.array(data["h"]["matrix"]).shape == (4, 4, 4)
-    assert data["c"]["face"] == "complex"
-
-
 EXPECTED_PARAM_DICTS = {
     "hproper": {"sigma2": 1.0},
     "mumu": {"sigma2": 1.0, "alpha": [0.3, 0.1], "delta": 0.2},

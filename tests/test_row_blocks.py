@@ -5,6 +5,7 @@ support, and the traced peak stays within the output plus a few blocks.
 The bit checks also check the BLAS in use: a library whose gemm bits for a
 row depend on how many rows share the call fails them."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from quatprop import (CovarianceR, Quaternion, covariance_from_params,
                       double_rotation, gaussian_pdf, sample)
 from quatprop.gaussian import write_column_csvs
 from quatprop.qarray import ROW_BLOCK, row_blocks
+from quatprop.rotations import left_matrix, right_matrix
 
 from support import (all_class_params, apply_rows_reference,
                      gaussian_pdf_reference, rand_quaternion, sample_reference)
@@ -92,11 +94,19 @@ def test_gaussian_pdf_refuses_a_non_finite_row_in_a_later_block():
 
 def test_kernels_refuse_rows_that_are_not_four_components():
     rotation = double_rotation(Quaternion(1, 2, 3, 4), Quaternion(0, 1, 0, 0))
-    for bad in (np.ones((6, 2)), np.ones((2, 3)), np.float64(1.0)):
+    for bad in (np.ones((6, 2)), np.ones((2, 3)), np.float64(1.0),
+                np.arange(5.0), np.ones((2, 6)), np.ones(3)):
         with pytest.raises(ValueError, match="expected \\(\\.\\.\\., 4\\)"):
             gaussian_pdf(bad, CovarianceR(GENERAL_COV))
         with pytest.raises(ValueError, match="expected \\(\\.\\.\\., 4\\)"):
             rotation.apply_rows(bad)
+        # the matrix builders too: a longer vector must not give the matrix
+        # of its first four components, nor a shorter one an IndexError
+        message = (r"^expected \(\.\.\., 4\) component vectors, got shape "
+                   + re.escape(str(np.shape(bad))) + "$")
+        for build in (left_matrix, right_matrix):
+            with pytest.raises(ValueError, match=message):
+                build(bad)
 
 
 @pytest.mark.parametrize("shape", [(n, 4) for n in SIZES] + [(2, 3, 4)])

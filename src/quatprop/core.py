@@ -32,11 +32,14 @@ class Quaternion:
     c: float
     d: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "d", float(self.d))
+    def __init__(self, a: float, b: float, c: float, d: float):
+        # each field of the frozen instance set once, as a float (the
+        # generated __init__ plus a __post_init__ would set each twice)
+        set_field = object.__setattr__
+        set_field(self, "a", float(a))
+        set_field(self, "b", float(b))
+        set_field(self, "c", float(c))
+        set_field(self, "d", float(d))
 
     @classmethod
     def from_vec(cls, v) -> "Quaternion":

@@ -286,6 +286,8 @@ class CovarianceFaces(NamedTuple):
 # z1 = x0 + x1*mu1 and z2 = x2 + x3*mu1; _PAIR _PAIR^H = 2 I
 _PAIR = np.array([[1, 1j, 0, 0], [1, -1j, 0, 0],
                   [0, 0, 1, 1j], [0, 0, 1, -1j]])
+# _PAIR^-1 = _PAIR^H / 2, so W^-1 = F _UNPAIR with F = basis.frame
+_UNPAIR = _PAIR.conj().T / 2.0
 
 
 def quaternion_face_map(basis: QuaternionBasis) -> np.ndarray:
@@ -311,7 +313,7 @@ def _face_map(frame_bytes: bytes) -> np.ndarray:
     # the four standard units about mu_r, column r of the frame (row 0 is the
     # identity), the three axes involved in one stacked call
     frame = np.frombuffer(frame_bytes).reshape(4, 4)
-    units = np.eye(4)
+    units = qarray.UNITS
     T = np.concatenate([units[None],
                         qarray.involution(units, frame[:, 1:].T[:, None, :])])
     K = qarray.mul(T[:, None, :, None, :], qarray.conj(T[None, :, None, :, :]))
@@ -323,10 +325,12 @@ def _valid_real(s: np.ndarray, residual: float, face: str) -> np.ndarray:
     """Symmetrised S, after rejecting a face whose S or residual is not
     finite (the face overflowed), or whose residual off the image of the
     real 4x4 matrices exceeds 1e-9 of its scale."""
-    if not (np.isfinite(s).all() and math.isfinite(residual)):
+    # max |s| is nan or inf exactly when an entry is
+    largest = float(np.abs(s).max())
+    if not (math.isfinite(largest) and math.isfinite(residual)):
         raise ValueError(f"matrix is not a valid {face}-face covariance "
                          "(its real face overflows)")
-    scale = max(float(np.max(np.abs(s))), 1.0)
+    scale = max(largest, 1.0)
     if residual > 1e-9 * scale:
         raise ValueError(f"matrix is not a valid {face}-face covariance "
                          f"for this basis (residual {residual:.3e})")
@@ -350,18 +354,34 @@ def _real_face(cov) -> np.ndarray:
     # the maps may overflow on huge finite entries; _valid_real reports it
     with np.errstate(over="ignore", invalid="ignore"):
         if face == "complex":
-            v = cov.basis.frame @ _PAIR.conj().T / 2.0
-            s = v @ cov.matrix @ v.conj().T  # V = W^-1 = F _PAIR^H / 2
-            return _valid_real(s.real, float(np.max(np.abs(s.imag))), "complex")
+            _, _, v, vh = _pair_maps(cov.basis.frame.tobytes())
+            s = v @ cov.matrix @ vh
+            return _valid_real(s.real, float(np.abs(s.imag).max()), "complex")
         K = quaternion_face_map(cov.basis)
         s = np.einsum("rsc,rsabc->ab", cov.matrix, K) / 16.0
-        residual = np.max(np.abs(cov.matrix - np.einsum("ab,rsabc->rsc", s, K)))
+        residual = np.abs(cov.matrix - np.einsum("ab,rsabc->rsc", s, K)).max()
         return _valid_real(s, float(residual), "quaternion")
 
 
+# W, V and their conjugate transposes are fixed per basis too, and read by
+# every complex-face conversion, so they are kept as K is.
+@lru_cache(maxsize=8)
+def _pair_maps(frame_bytes: bytes):
+    """(W, W^H, V, V^H) of the frame F with these bytes: W = _PAIR F^T takes
+    the real face to the complex one, C = W S W^H, and V = W^-1 = F _UNPAIR
+    takes it back, S = V C V^H. All four are read-only."""
+    frame = np.frombuffer(frame_bytes).reshape(4, 4)
+    w = _PAIR @ frame.T
+    v = frame @ _UNPAIR
+    maps = (w, w.conj().T, v, v.conj().T)
+    for m in maps:
+        m.flags.writeable = False
+    return maps
+
+
 def _complex_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceC:
-    w = _PAIR @ basis.frame.T  # W, with F = basis.frame
-    return CovarianceC(w @ s @ w.conj().T, basis)
+    w, wh, _, _ = _pair_maps(basis.frame.tobytes())
+    return CovarianceC(w @ s @ wh, basis)
 
 
 def _quaternion_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceH:
@@ -412,11 +432,31 @@ def quaternion_face_from_gammas(sigma2: float, gamma1: Quaternion,
 # ---------------------------------------------------------------------------
 # construction from class parameters
 
+def _bits_key(a: np.ndarray):
+    """A hashable key of a's exact bits: its dtype, shape and bytes, so two
+    arrays share a key only when they are bit-identical."""
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _from_bits_key(key) -> np.ndarray:
+    dtype, shape, data = key
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
+
+
 def _refuse_indefinite(g: np.ndarray, what: str):
     """Raise ValueError "<what>: min eigenvalue ..." if g is indefinite."""
-    w = np.linalg.eigvalsh(g)
-    if w[0] < PSD_FLOOR * max(1.0, -w[0], w[-1]):
-        raise ValueError(f"{what}: min eigenvalue {w[0]:.6e}")
+    lowest, highest = _eigenvalue_range(_bits_key(g))
+    if lowest < PSD_FLOOR * max(1.0, -lowest, highest):
+        raise ValueError(f"{what}: min eigenvalue {lowest:.6e}")
+
+
+# A model's covariance is checked when it is built and again when it is
+# sampled, so the eigenvalue range of the few covariances checked most
+# recently is kept, keyed by their exact bits.
+@lru_cache(maxsize=8)
+def _eigenvalue_range(key):
+    w = np.linalg.eigvalsh(_from_bits_key(key))
+    return w[0], w[-1]
 
 
 def covariance_from_params(params) -> CovarianceFaces:
@@ -673,24 +713,20 @@ def gaussian_pdf(q, cov: CovarianceR):
     """Density of the centred 4-variate normal with the given covariance,
     evaluated at a Quaternion or an (..., 4) array of component vectors.
 
-    One eigendecomposition g = V diag(w) V^T serves every row: the quadratic
-    form is |x V diag(w)^-1/2|^2 and the normaliser comes from prod(w).
-    Rows are checked and evaluated a block at a time into one output, so
-    the temporaries do not grow with the number of rows. A covariance with
-    a non-finite entry, or one that is not positive definite, a point with
-    a non-finite component and an array whose last axis is not 4 raise
+    One eigendecomposition g = V diag(w) V^T serves every row, and every
+    call on the same covariance (see _density_factors): the quadratic form
+    is |x V diag(w)^-1/2|^2 and the normaliser comes from prod(w). Rows are
+    checked and evaluated a block at a time into one output, so the
+    temporaries do not grow with the number of rows. A covariance with a
+    non-finite entry, or one that is not positive definite, a point with a
+    non-finite component and an array whose last axis is not 4 raise
     ValueError.
     """
-    g = _real_face(cov)
-    w, v = np.linalg.eigh((g + g.T) / 2.0)
-    if w.min() <= 0.0:
-        raise ValueError(f"covariance is singular: min eigenvalue {w.min():.6e}")
+    whiten, norm = _density_factors(_bits_key(_real_face(cov)))
     x = qarray.components(q)
     # numpy multiplies a stack of one-row matrices row by row with gemv, so
     # such a stack keeps its rows apart; anything else becomes (N, 4) rows
     rows = x.reshape((-1, 1, 4) if x.ndim > 2 and x.shape[-2] == 1 else (-1, 4))
-    whiten = v / np.sqrt(w)
-    norm = 1.0 / (_TWO_PI_SQ * np.sqrt(np.prod(w)))
     out = np.empty(rows.shape[:-1])
     for span in qarray.row_blocks(rows.shape[0]):
         block = rows[span]
@@ -700,6 +736,24 @@ def gaussian_pdf(q, cov: CovarianceR):
         out[span] = norm * np.exp(-0.5 * np.einsum("...i,...i->...", y, y))
     out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
+
+
+# A model's densities at single points are separate calls on one covariance,
+# so the factors of the few covariances used most recently are kept, keyed
+# by the exact bits of their real face, as K is keyed by the basis frame. A
+# singular covariance raises on every call: exceptions are not kept.
+@lru_cache(maxsize=8)
+def _density_factors(key):
+    """(whiten, norm) of gaussian_pdf for the real face g with these bits:
+    g = V diag(w) V^T, whiten = V diag(w)^-1/2 (read-only) and
+    norm = 1 / ((2 pi)^2 sqrt(prod(w)))."""
+    g = _from_bits_key(key)
+    w, v = np.linalg.eigh((g + g.T) / 2.0)
+    if w.min() <= 0.0:
+        raise ValueError(f"covariance is singular: min eigenvalue {w.min():.6e}")
+    whiten = v / np.sqrt(w)
+    whiten.flags.writeable = False
+    return whiten, 1.0 / (_TWO_PI_SQ * np.sqrt(np.prod(w)))
 
 
 def pdf_1mu_proper(q: Quaternion, sigma2: float, gamma_1j: Quaternion,

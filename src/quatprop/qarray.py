@@ -11,11 +11,20 @@ from __future__ import annotations
 import numpy as np
 
 
+def _real(values, what: str) -> np.ndarray:
+    """values as a float array; complex values raise ValueError naming their
+    dtype rather than losing their imaginary parts."""
+    x = np.asarray(values)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
+
+
 def components(q) -> np.ndarray:
     """q as (..., 4) component vectors: a Quaternion (anything with to_vec)
     gives its 4 components, anything else a float array. Any other last
-    axis raises ValueError."""
-    x = q.to_vec() if hasattr(q, "to_vec") else np.asarray(q, dtype=float)
+    axis, and complex values, raise ValueError."""
+    x = q.to_vec() if hasattr(q, "to_vec") else _real(q, "component vectors")
     if x.ndim == 0 or x.shape[-1] != 4:
         raise ValueError(f"expected (..., 4) component vectors, got shape {x.shape}")
     return x
@@ -24,10 +33,10 @@ def components(q) -> np.ndarray:
 def sample_rows(samples, least: int = 1, purpose: str = "") -> np.ndarray:
     """The draws of samples (an array, or anything with .data such as a
     SampleSet) as an (n, 4) float array. Any other shape, n = 0 included,
-    and fewer than least rows raise ValueError."""
+    fewer than least rows and complex values raise ValueError."""
     if not isinstance(samples, np.ndarray):  # an ndarray's .data is its buffer
         samples = getattr(samples, "data", samples)
-    rows = np.asarray(samples, dtype=float)
+    rows = _real(samples, "sample array")
     if rows.ndim != 2 or rows.shape[1] != 4 or rows.shape[0] < 1:
         raise ValueError(f"sample array must be (n >= 1, 4), got {rows.shape}")
     if rows.shape[0] < least:
@@ -67,12 +76,40 @@ def hamilton(a1, b1, c1, d1, a2, b2, c2, d2):
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
 
 
+# the four standard units e_0..e_3, one per row
+UNITS = np.eye(4)
+UNITS.flags.writeable = False
+
+
+def _product_table():
+    """Index and sign tables of the product: component k of p*q is
+    sum_j p_j * SIGN[k, j] * q[INDEX[k, j]], read off hamilton at the four
+    units (e_j * e_m is SIGN[k, j] e_k where m = INDEX[k, j])."""
+    # prods[k, j, m]: component k of e_j * e_m
+    prods = np.array(hamilton(*UNITS[:, :, None], *UNITS[:, None, :]))
+    index = np.abs(prods).argmax(axis=-1)
+    return index, np.take_along_axis(prods, index[..., None], -1)[..., 0]
+
+
+_INDEX, _SIGN = _product_table()
+
+
 def mul(p, q):
-    """Hamilton product, broadcasting over leading axes."""
+    """Hamilton product, broadcasting over leading axes, into a C-contiguous
+    array.
+
+    Component k is ((p0 R[k,0] + p1 R[k,1]) + p2 R[k,2]) + p3 R[k,3], with
+    R(q) = SIGN * q[INDEX] the matrix of p -> p*q: the products of hamilton,
+    summed in its order, so the bits are hamilton's (signed zeros and inf
+    included; a nan lands where hamilton's does, its sign bit may not) from
+    a few numpy calls whatever the shapes. Long rows are faster through
+    hamilton on their columns (see DoubleRotation.apply_rows).
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    return np.stack(hamilton(p[..., 0], p[..., 1], p[..., 2], p[..., 3],
-                             q[..., 0], q[..., 1], q[..., 2], q[..., 3]), axis=-1)
+    terms = p[..., None, :] * (q[..., _INDEX] * _SIGN)
+    return np.add((terms[..., 0] + terms[..., 1]) + terms[..., 2],
+                  terms[..., 3], order="C")
 
 
 def conj(q):

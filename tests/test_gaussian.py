@@ -24,7 +24,8 @@ from support import (EDGE_DOUBLES as _EDGE_DOUBLES, REFERENCE_CLASS_FLAGS,
                      complex_to_quaternion_reference,
                      convert_reference, cov_r_from_pair_moments,
                      defining_rotations, expected_complex_face, faces_reference,
-                     general_params, quaternion_face_map_reference,
+                     gaussian_pdf_reference, general_params,
+                     quaternion_face_map_reference,
                      quaternion_to_real_unchecked, rand_basis,
                      rand_quaternion, read_sample_csv_reference,
                      real_to_quaternion_reference, write_sample_csv_reference)
@@ -864,6 +865,84 @@ def test_face_map_memo_stays_bounded():
     # the first basis was evicted, so its map is built again
     again = quaternion_face_map(bases[0])
     assert again is not first and _same_bits(again, first)
+    # the complex-face maps W and V are kept the same way, read-only
+    for basis in bases:
+        convert(CovarianceR(np.eye(4), basis), "complex")
+    info = gaussian._pair_maps.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+    for m in gaussian._pair_maps(bases[-1].frame.tobytes()):
+        assert not m.flags.writeable
+
+
+def test_face_map_is_c_contiguous():
+    # einsum's bits follow its operands' layout: a K of equal values in
+    # another layout would move the faces mapped through it
+    for basis in (STANDARD_BASIS, rand_basis(np.random.default_rng(21))):
+        assert quaternion_face_map(basis).flags.c_contiguous
+
+
+# --- the density factors, kept per covariance --------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_memoised_density_equals_fresh_build(seed):
+    rng = np.random.default_rng(seed)
+    cov = _random_cov_r(rng)
+    q = rand_quaternion(rng)
+    rows = rng.normal(size=(7, 4))
+    gaussian._density_factors.cache_clear()
+    for _ in range(2):  # built, then from the memo
+        assert gaussian_pdf(q, cov) == gaussian_pdf_reference(q.to_vec(), cov.matrix)
+        assert gaussian_pdf(rows, cov).tobytes() == \
+            gaussian_pdf_reference(rows, cov.matrix).tobytes()
+
+
+def test_density_memo_stays_bounded():
+    rng = np.random.default_rng(22)
+    covs = [_random_cov_r(rng) for _ in range(20)]
+    first = gaussian._density_factors(gaussian._bits_key(covs[0].matrix))
+    for cov in covs:
+        gaussian_pdf(ONE, cov)
+    info = gaussian._density_factors.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+    # the first covariance was evicted, so its factors are built again
+    again = gaussian._density_factors(gaussian._bits_key(covs[0].matrix))
+    assert again[0] is not first[0]
+    assert again[0].tobytes() == first[0].tobytes() and again[1] == first[1]
+    assert not again[0].flags.writeable
+
+
+def test_density_honours_in_place_edit_of_the_covariance():
+    rng = np.random.default_rng(23)
+    m = _random_cov_r(rng).matrix.copy()
+    cov, x = CovarianceR(m), rng.normal(size=(5, 4))
+    before = gaussian_pdf(x, cov)
+    m *= 2.0
+    after = gaussian_pdf(x, cov)
+    assert after.tobytes() == gaussian_pdf_reference(x, m).tobytes()
+    assert not np.array_equal(after, before)
+
+
+def test_singular_covariance_is_refused_on_every_call():
+    cov = CovarianceR(np.diag([1.0, 1.0, 1.0, 0.0]))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^covariance is singular: min eigenvalue"):
+            gaussian_pdf(ONE, cov)
+
+
+def test_indefinite_covariance_is_refused_on_every_call():
+    g = np.diag([1.0, 1.0, 1.0, -0.5])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^covariance is indefinite: min "
+                                             "eigenvalue -5.000000e-01$"):
+            sample(CovarianceR(g), 10, seed=0)
+    # a model's covariance, checked when built, is not decomposed again to
+    # be sampled
+    faces = covariance_from_params(
+        all_class_params(rand_basis(np.random.default_rng(24)))["musame"])
+    misses = gaussian._eigenvalue_range.cache_info().misses
+    sample(faces.r, 10, seed=0)
+    assert gaussian._eigenvalue_range.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

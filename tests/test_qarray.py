@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,3 +51,59 @@ def test_stacked_involution_is_stack_of_per_axis_calls(seed, q):
     stacked = qarray.involution(q, mus[:, None, :])
     assert stacked.tobytes() == np.stack(
         [qarray.involution(q, mu) for mu in mus]).tobytes()
+
+
+# --- mul is hamilton, bit for bit -------------------------------------------
+
+# (p, q) shapes: single quaternions, rows against one quaternion and against
+# rows, the stacks of left_matrix/right_matrix, and the face map K's operands
+MUL_SHAPES = [((4,), (4,)), ((5, 4), (4,)), ((4,), (5, 4)), ((5, 4), (5, 4)),
+              ((3, 1, 4), (4, 4)), ((4, 4), (3, 1, 4)),
+              ((4, 1, 4, 1, 4), (1, 4, 1, 4, 4))]
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _normal_with_specials(rng, shape, share):
+    """Normal draws with about share of the entries replaced by +-0.0,
+    +-inf or nan."""
+    x = rng.normal(size=shape)
+    mask = rng.random(shape) < share
+    x[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MUL_SHAPES), st.sampled_from([0.0, 0.1, 0.5]),
+       st.integers(0, 2**32 - 1))
+def test_mul_is_stacked_hamilton_bit_for_bit(shapes, share, seed):
+    rng = np.random.default_rng(seed)
+    p, q = (_normal_with_specials(rng, shape, share) for shape in shapes)
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf give nan
+        got = qarray.mul(p, q)
+        expected = np.stack(qarray.hamilton(*np.moveaxis(p, -1, 0),
+                                            *np.moveaxis(q, -1, 0)), axis=-1)
+    assert got.shape == expected.shape and got.flags.c_contiguous
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], expected[~nan])
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(expected[~nan]))
+
+
+# --- the array contracts refuse complex values ------------------------------
+
+@pytest.mark.parametrize("values", [np.ones((2, 4)) * (1 + 2j),
+                                    np.ones((2, 4), dtype=np.complex64),
+                                    [[1j, 0, 0, 0]]])
+def test_sample_rows_refuses_complex_values(values):
+    dtype = np.asarray(values).dtype
+    with pytest.raises(ValueError, match=f"^sample array must be real, got dtype {dtype}$"):
+        qarray.sample_rows(values)
+
+
+@pytest.mark.parametrize("values", [np.ones((2, 4)) * (1 + 2j),
+                                    np.ones(4, dtype=np.complex64),
+                                    [1j, 0, 0, 0]])
+def test_components_refuses_complex_values(values):
+    dtype = np.asarray(values).dtype
+    with pytest.raises(ValueError, match=f"^component vectors must be real, got dtype {dtype}$"):
+        qarray.components(values)

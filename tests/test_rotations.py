@@ -4,6 +4,7 @@ import pytest
 from quatprop import (ATOL, ONE, I, J, K, DoubleRotation, Quaternion,
                       double_rotation, euler_form, is_so4, isoclinic_angles,
                       left_matrix, right_matrix)
+from quatprop.qarray import ROW_BLOCK, hamilton, row_blocks
 from quatprop.rotations import unit_factor
 
 from support import rand_quaternion, rand_unit
@@ -264,3 +265,29 @@ def test_matrix_builders_take_quaternions_and_stacks_alike(shape):
             q = Quaternion.from_vec(x[idx])
             want = _per_element(q, side).tobytes()
             assert m[idx].tobytes() == build(q).tobytes() == want, (side, idx)
+
+
+# --- the matrix builders and apply_rows keep the bits of their stacked-hamilton
+# forms (one np.stack of hamilton's four components per product)
+
+def _stacked_hamilton(p, q):
+    return np.stack(hamilton(*np.moveaxis(p, -1, 0), *np.moveaxis(q, -1, 0)),
+                    axis=-1)
+
+
+def test_matrix_builders_and_apply_rows_keep_stacked_hamilton_bits():
+    rng = np.random.default_rng(2023)
+    q = rng.normal(size=(15, 4))
+    for got, want in ((left_matrix(q), _stacked_hamilton(q[:, None, :], np.eye(4))),
+                      (right_matrix(q), _stacked_hamilton(np.eye(4), q[:, None, :]))):
+        want = np.swapaxes(want, -1, -2)
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+    rotation = double_rotation(rand_quaternion(rng), rand_quaternion(rng))
+    u, v = rotation.u.to_vec(), rotation.v.to_vec()
+    left = np.swapaxes(_stacked_hamilton(u[None, :], np.eye(4)), -1, -2)
+    right = np.swapaxes(_stacked_hamilton(np.eye(4), v[None, :]), -1, -2)
+    assert rotation.matrix.tobytes() == (left @ right).tobytes()
+    rows = rng.normal(size=(3 * ROW_BLOCK + 5, 4))
+    want = np.concatenate([_stacked_hamilton(u, _stacked_hamilton(rows[span], v))
+                           for span in row_blocks(rows.shape[0])])
+    assert rotation.apply_rows(rows).tobytes() == want.tobytes()

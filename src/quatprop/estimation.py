@@ -121,7 +121,7 @@ def symmetry_residual(cov: CovarianceR, u: Quaternion, v: Quaternion) -> float:
     A covariance with a non-finite entry, or whose trace is not positive
     and finite, raises ValueError.
     """
-    g = np.asarray(_real_face(cov), dtype=float)
+    g = _real_face(cov)
     sigma2 = float(np.trace(g))
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"covariance trace {sigma2:.3e} is not positive and "

@@ -298,17 +298,20 @@ def quaternion_face_map(basis: QuaternionBasis) -> np.ndarray:
     (r, s, components), K^T K = 16 I on real 4x4 matrices, so K^T / 16
     inverts it.
 
-    K is built once per basis: the maps of the few bases used most recently
-    are kept, keyed by the exact bytes of the basis frame, so two bases
-    share a K only when their components are bit-identical. K is read-only.
+    K is built once per basis (see _basis_maps), so two bases share a K only
+    when their frames are bit-identical. K is read-only.
     """
-    return _face_map(basis.frame.tobytes())
+    return _basis_maps(basis.frame.tobytes())[0]
 
 
 # A process may hold many basis objects, most of them equal, and a K takes
-# 8 KiB, so K lives in this small memo rather than on each basis.
+# 8 KiB, so the maps of the few bases used most recently live in this small
+# memo, keyed by the exact bytes of the basis frame, rather than on each basis.
 @lru_cache(maxsize=8)
-def _face_map(frame_bytes: bytes) -> np.ndarray:
+def _basis_maps(frame_bytes: bytes):
+    """(K, W, W^H, V, V^H) of the frame F with these bytes, read-only: W =
+    _PAIR F^T gives the complex face C = W S W^H, and V = W^-1 = F _UNPAIR
+    takes it back, S = V C V^H."""
     # (q, q^mu1, q^mu2, q^mu3) = T q_vec: row r of T holds the involutions of
     # the four standard units about mu_r, column r of the frame (row 0 is the
     # identity), the three axes involved in one stacked call
@@ -317,70 +320,68 @@ def _face_map(frame_bytes: bytes) -> np.ndarray:
     T = np.concatenate([units[None],
                         qarray.involution(units, frame[:, 1:].T[:, None, :])])
     K = qarray.mul(T[:, None, :, None, :], qarray.conj(T[None, :, None, :, :]))
-    K.flags.writeable = False
-    return K
-
-
-def _valid_real(s: np.ndarray, residual: float, face: str) -> np.ndarray:
-    """Symmetrised S, after rejecting a face whose S or residual is not
-    finite (the face overflowed), or whose residual off the image of the
-    real 4x4 matrices exceeds 1e-9 of its scale."""
-    # max |s| is nan or inf exactly when an entry is
-    largest = float(np.abs(s).max())
-    if not (math.isfinite(largest) and math.isfinite(residual)):
-        raise ValueError(f"matrix is not a valid {face}-face covariance "
-                         "(its real face overflows)")
-    scale = max(largest, 1.0)
-    if residual > 1e-9 * scale:
-        raise ValueError(f"matrix is not a valid {face}-face covariance "
-                         f"for this basis (residual {residual:.3e})")
-    return (s + s.T) / 2.0
-
-
-_FACE_NAMES = {CovarianceR: "real", CovarianceC: "complex",
-               CovarianceH: "quaternion"}
-
-
-def _real_face(cov) -> np.ndarray:
-    """The real face S of any face with finite entries."""
-    face = _FACE_NAMES.get(type(cov))
-    if face is None:
-        raise TypeError(f"not a covariance face: {type(cov).__name__}")
-    if not np.isfinite(cov.matrix).all():
-        raise ValueError(f"matrix is not a valid {face}-face covariance "
-                         "(non-finite entry)")
-    if face == "real":
-        return cov.matrix
-    # the maps may overflow on huge finite entries; _valid_real reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        if face == "complex":
-            _, _, v, vh = _pair_maps(cov.basis.frame.tobytes())
-            s = v @ cov.matrix @ vh
-            return _valid_real(s.real, float(np.abs(s.imag).max()), "complex")
-        K = quaternion_face_map(cov.basis)
-        s = np.einsum("rsc,rsabc->ab", cov.matrix, K) / 16.0
-        residual = np.abs(cov.matrix - np.einsum("ab,rsabc->rsc", s, K)).max()
-        return _valid_real(s, float(residual), "quaternion")
-
-
-# W, V and their conjugate transposes are fixed per basis too, and read by
-# every complex-face conversion, so they are kept as K is.
-@lru_cache(maxsize=8)
-def _pair_maps(frame_bytes: bytes):
-    """(W, W^H, V, V^H) of the frame F with these bytes: W = _PAIR F^T takes
-    the real face to the complex one, C = W S W^H, and V = W^-1 = F _UNPAIR
-    takes it back, S = V C V^H. All four are read-only."""
-    frame = np.frombuffer(frame_bytes).reshape(4, 4)
     w = _PAIR @ frame.T
     v = frame @ _UNPAIR
-    maps = (w, w.conj().T, v, v.conj().T)
+    maps = (K, w, w.conj().T, v, v.conj().T)
     for m in maps:
         m.flags.writeable = False
     return maps
 
 
+def _symmetric(s: np.ndarray) -> np.ndarray:
+    """(S + S^T) / 2, taken as S/2 + S^T/2 so that it cannot overflow; the
+    two agree bit for bit wherever halving is exact (above the subnormals)
+    and the first does not overflow."""
+    half = s / 2.0
+    return half + half.T
+
+
+_FACES = {CovarianceR: ("real", (4, 4)), CovarianceC: ("complex", (4, 4)),
+          CovarianceH: ("quaternion", (4, 4, 4))}
+
+
+def _real_face(cov) -> np.ndarray:
+    """The real face S of any face as a float (4, 4) array: the one check of
+    a face. A wrong shape, a real or quaternion face of complex dtype, a
+    non-finite entry, and a complex or quaternion face whose S overflows or
+    lies off the real 4x4 matrices by more than 1e-9 of its scale raise
+    ValueError. Those two faces give a symmetrised S; a real face is not
+    symmetrised here, so reading it stays cheap."""
+    face, shape = _FACES.get(type(cov), (None, None))
+    if face is None:
+        raise TypeError(f"not a covariance face: {type(cov).__name__}")
+    m = (np.asarray(cov.matrix) if face == "complex"
+         else qarray._real(cov.matrix, f"{face}-face covariance entries"))
+    if m.shape != shape:
+        raise ValueError(f"matrix is not a valid {face}-face covariance "
+                         f"(shape {m.shape}, expected {shape})")
+    if not np.isfinite(m).all():
+        raise ValueError(f"matrix is not a valid {face}-face covariance "
+                         "(non-finite entry)")
+    if face == "real":
+        return m
+    K, _, _, v, vh = _basis_maps(cov.basis.frame.tobytes())
+    # the maps may overflow on huge finite entries; that is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if face == "complex":
+            s = v @ m @ vh
+            s, residual = s.real, np.abs(s.imag).max()
+        else:
+            s = np.einsum("rsc,rsabc->ab", m, K) / 16.0
+            residual = np.abs(m - np.einsum("ab,rsabc->rsc", s, K)).max()
+    # max |s| is nan or inf exactly when an entry is
+    largest = float(np.abs(s).max())
+    if not (math.isfinite(largest) and math.isfinite(residual)):
+        raise ValueError(f"matrix is not a valid {face}-face covariance "
+                         "(its real face overflows)")
+    if residual > 1e-9 * max(largest, 1.0):
+        raise ValueError(f"matrix is not a valid {face}-face covariance "
+                         f"for this basis (residual {residual:.3e})")
+    return _symmetric(s)
+
+
 def _complex_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceC:
-    w, wh, _, _ = _pair_maps(basis.frame.tobytes())
+    _, w, wh, _, _ = _basis_maps(basis.frame.tobytes())
     return CovarianceC(w @ s @ wh, basis)
 
 
@@ -392,15 +393,15 @@ def _quaternion_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceH:
 def convert(cov, to: str):
     """Change a covariance to another face ("real", "complex", "quaternion").
 
-    Every conversion goes through the real face S: a face with a non-finite
-    entry, or a complex or quaternion face that is not the image of a real
-    matrix, raises ValueError.
+    Every conversion goes through the real face S, and every face given is
+    checked as _real_face checks it, whatever the target: a bad face raises
+    ValueError, even one already on the face asked for.
     """
     if to not in ("real", "complex", "quaternion"):
         raise ValueError(f"unknown face {to!r}")
-    if _FACE_NAMES.get(type(cov)) == to:
-        return cov
     s, basis = _real_face(cov), cov.basis
+    if _FACES[type(cov)][0] == to:
+        return cov
     if to == "real":
         return CovarianceR(s, basis)
     if to == "complex":
@@ -432,31 +433,44 @@ def quaternion_face_from_gammas(sigma2: float, gamma1: Quaternion,
 # ---------------------------------------------------------------------------
 # construction from class parameters
 
-def _bits_key(a: np.ndarray):
-    """A hashable key of a's exact bits: its dtype, shape and bytes, so two
-    arrays share a key only when they are bit-identical."""
-    return a.dtype.str, a.shape, a.tobytes()
+# A model's covariance is checked when it is built, and again when it is
+# sampled or its density is taken, often at single points, so the few
+# covariances used most recently are decomposed once each and kept, keyed by
+# the bytes of their float (4, 4) real face. Nothing here warns or raises
+# for a valid covariance: a singular one gets no density factors, and
+# gaussian_pdf refuses it on every call.
+@lru_cache(maxsize=8)
+def _decomposition(s_bytes: bytes):
+    """(g, w, v, whiten, norm, log_norm) of the real face S with these
+    bytes: g = (S + S^T) / 2 = V diag(w) V^T (w ascending) and, when every w
+    is positive, gaussian_pdf's whiten = V diag(w)^-1/2 and normaliser
+    1 / ((2 pi)^2 sqrt(prod(w))), as norm while prod(w) is a finite normal
+    number and otherwise as its logarithm log_norm; the other is None. The
+    arrays are read-only."""
+    g = _symmetric(np.frombuffer(s_bytes).reshape(4, 4))
+    w, v = np.linalg.eigh(g)
+    whiten = norm = log_norm = None
+    if w[0] > 0.0:
+        whiten = v / np.sqrt(w)
+        whiten.flags.writeable = False
+        det = math.prod(w.tolist())  # a float product overflows without a warning
+        if np.finfo(float).tiny <= det < math.inf:
+            norm = 1.0 / (_TWO_PI_SQ * math.sqrt(det))
+        else:
+            log_norm = -math.log(_TWO_PI_SQ) - 0.5 * sum(map(math.log, w.tolist()))
+    for m in (g, w, v):
+        m.flags.writeable = False
+    return g, w, v, whiten, norm, log_norm
 
 
-def _from_bits_key(key) -> np.ndarray:
-    dtype, shape, data = key
-    return np.frombuffer(data, dtype=dtype).reshape(shape)
-
-
-def _refuse_indefinite(g: np.ndarray, what: str):
-    """Raise ValueError "<what>: min eigenvalue ..." if g is indefinite."""
-    lowest, highest = _eigenvalue_range(_bits_key(g))
+def _refuse_indefinite(s: np.ndarray, what: str):
+    """The decomposition of the real face s; raise ValueError
+    "<what>: min eigenvalue ..." if it is indefinite (see PSD_FLOOR)."""
+    d = _decomposition(s.tobytes())
+    lowest, highest = d[1][0], d[1][-1]  # the extreme eigenvalues w
     if lowest < PSD_FLOOR * max(1.0, -lowest, highest):
         raise ValueError(f"{what}: min eigenvalue {lowest:.6e}")
-
-
-# A model's covariance is checked when it is built and again when it is
-# sampled, so the eigenvalue range of the few covariances checked most
-# recently is kept, keyed by their exact bits.
-@lru_cache(maxsize=8)
-def _eigenvalue_range(key):
-    w = np.linalg.eigvalsh(_from_bits_key(key))
-    return w[0], w[-1]
+    return d
 
 
 def covariance_from_params(params) -> CovarianceFaces:
@@ -691,13 +705,10 @@ def sample(cov: CovarianceR, n: int, seed: int, class_tag=None,
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    g = np.asarray(_real_face(cov), dtype=float)
-    g = (g + g.T) / 2.0
-    _refuse_indefinite(g, "covariance is indefinite")
+    g, w, v, *_ = _refuse_indefinite(_real_face(cov), "covariance is indefinite")
     try:
         factor = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(g)
         factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
     z = np.random.default_rng(seed).standard_normal((n, 4))
     for span in qarray.row_blocks(n):
@@ -714,15 +725,19 @@ def gaussian_pdf(q, cov: CovarianceR):
     evaluated at a Quaternion or an (..., 4) array of component vectors.
 
     One eigendecomposition g = V diag(w) V^T serves every row, and every
-    call on the same covariance (see _density_factors): the quadratic form
-    is |x V diag(w)^-1/2|^2 and the normaliser comes from prod(w). Rows are
-    checked and evaluated a block at a time into one output, so the
-    temporaries do not grow with the number of rows. A covariance with a
-    non-finite entry, or one that is not positive definite, a point with a
-    non-finite component and an array whose last axis is not 4 raise
+    call on the same covariance (see _decomposition): the quadratic form is
+    |x V diag(w)^-1/2|^2 and the normaliser comes from prod(w), or from the
+    sum of log(w) when prod(w) leaves the normal range, so a covariance of
+    any scale has a density without overflow (one beyond the float range is
+    inf). Rows are checked and evaluated a block at a time into one output,
+    so the temporaries do not grow with the number of rows. A covariance
+    with a non-finite entry, or one that is not positive definite, a point
+    with a non-finite component and an array whose last axis is not 4 raise
     ValueError.
     """
-    whiten, norm = _density_factors(_bits_key(_real_face(cov)))
+    _, w, _, whiten, norm, log_norm = _decomposition(_real_face(cov).tobytes())
+    if whiten is None:
+        raise ValueError(f"covariance is singular: min eigenvalue {w[0]:.6e}")
     x = qarray.components(q)
     # numpy multiplies a stack of one-row matrices row by row with gemv, so
     # such a stack keeps its rows apart; anything else becomes (N, 4) rows
@@ -733,27 +748,14 @@ def gaussian_pdf(q, cov: CovarianceR):
         if not np.isfinite(block).all():
             raise ValueError("non-finite input: a component of q is nan or inf")
         y = block @ whiten
-        out[span] = norm * np.exp(-0.5 * np.einsum("...i,...i->...", y, y))
+        exponent = -0.5 * np.einsum("...i,...i->...", y, y)
+        if log_norm is None:
+            out[span] = norm * np.exp(exponent)
+        else:
+            with np.errstate(over="ignore"):
+                out[span] = np.exp(log_norm + exponent)
     out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
-
-
-# A model's densities at single points are separate calls on one covariance,
-# so the factors of the few covariances used most recently are kept, keyed
-# by the exact bits of their real face, as K is keyed by the basis frame. A
-# singular covariance raises on every call: exceptions are not kept.
-@lru_cache(maxsize=8)
-def _density_factors(key):
-    """(whiten, norm) of gaussian_pdf for the real face g with these bits:
-    g = V diag(w) V^T, whiten = V diag(w)^-1/2 (read-only) and
-    norm = 1 / ((2 pi)^2 sqrt(prod(w)))."""
-    g = _from_bits_key(key)
-    w, v = np.linalg.eigh((g + g.T) / 2.0)
-    if w.min() <= 0.0:
-        raise ValueError(f"covariance is singular: min eigenvalue {w.min():.6e}")
-    whiten = v / np.sqrt(w)
-    whiten.flags.writeable = False
-    return whiten, 1.0 / (_TWO_PI_SQ * np.sqrt(np.prod(w)))
 
 
 def pdf_1mu_proper(q: Quaternion, sigma2: float, gamma_1j: Quaternion,

@@ -347,6 +347,17 @@ def gaussian_pdf_reference(x, g):
     return norm * np.exp(-0.5 * quad)
 
 
+def log_density_reference(x, g):
+    """The logarithm of the centred normal density with covariance g at
+    every row of an (n, 4) array, from a Cholesky factor L of g rather than
+    from eigenvalues: -2 log(2 pi) - sum log diag(L) - |L^-1 x|^2 / 2. Only
+    logarithms are formed, so it holds at any scale of g."""
+    chol = np.linalg.cholesky(g)
+    y = np.linalg.solve(chol, np.asarray(x, dtype=float).T)
+    return (-2.0 * math.log(2.0 * math.pi) - np.log(np.diag(chol)).sum()
+            - 0.5 * np.einsum("ij,ij->j", y, y))
+
+
 def apply_rows_reference(rotation, rows):
     """u*q*v of every row of an (..., 4) array, in two whole-array
     products."""

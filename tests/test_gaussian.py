@@ -15,7 +15,7 @@ from quatprop import (ONE, I, J, K, CovarianceC, CovarianceH, CovarianceR,
                       convert, covariance_from_params, double_rotation,
                       gaussian_pdf, pdf_1mu_proper, read_sample_csv, sample,
                       validate_basis, write_sample_csv)
-from quatprop import PureUnit, gaussian
+from quatprop import PureUnit, gaussian, symmetry_residual
 from quatprop.gaussian import (SampleSet, quaternion_face_from_gammas,
                                quaternion_face_map, write_column_csvs)
 
@@ -25,6 +25,7 @@ from support import (EDGE_DOUBLES as _EDGE_DOUBLES, REFERENCE_CLASS_FLAGS,
                      convert_reference, cov_r_from_pair_moments,
                      defining_rotations, expected_complex_face, faces_reference,
                      gaussian_pdf_reference, general_params,
+                     log_density_reference,
                      quaternion_face_map_reference,
                      quaternion_to_real_unchecked, rand_basis,
                      rand_quaternion, read_sample_csv_reference,
@@ -860,17 +861,19 @@ def test_face_map_memo_stays_bounded():
     first = quaternion_face_map(bases[0])
     for basis in bases:
         assert quaternion_face_map(basis) is quaternion_face_map(basis)
-    info = gaussian._face_map.cache_info()
+    info = gaussian._basis_maps.cache_info()
     assert info.maxsize == 8 and info.currsize <= 8
     # the first basis was evicted, so its map is built again
     again = quaternion_face_map(bases[0])
     assert again is not first and _same_bits(again, first)
-    # the complex-face maps W and V are kept the same way, read-only
+    # the complex-face maps W and V share K's memo entry, read-only too
     for basis in bases:
         convert(CovarianceR(np.eye(4), basis), "complex")
-    info = gaussian._pair_maps.cache_info()
+    info = gaussian._basis_maps.cache_info()
     assert info.maxsize == 8 and info.currsize <= 8
-    for m in gaussian._pair_maps(bases[-1].frame.tobytes()):
+    maps = gaussian._basis_maps(bases[-1].frame.tobytes())
+    assert len(maps) == 5
+    for m in maps:
         assert not m.flags.writeable
 
 
@@ -881,7 +884,12 @@ def test_face_map_is_c_contiguous():
         assert quaternion_face_map(basis).flags.c_contiguous
 
 
-# --- the density factors, kept per covariance --------------------------------
+# --- the decomposition of a covariance, kept per covariance ------------------
+
+def _same_decomposition(a, b):
+    return all(_same_bits(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in zip(a, b))
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
@@ -890,26 +898,31 @@ def test_memoised_density_equals_fresh_build(seed):
     cov = _random_cov_r(rng)
     q = rand_quaternion(rng)
     rows = rng.normal(size=(7, 4))
-    gaussian._density_factors.cache_clear()
+    gaussian._decomposition.cache_clear()
     for _ in range(2):  # built, then from the memo
         assert gaussian_pdf(q, cov) == gaussian_pdf_reference(q.to_vec(), cov.matrix)
         assert gaussian_pdf(rows, cov).tobytes() == \
             gaussian_pdf_reference(rows, cov.matrix).tobytes()
+    # the decomposition kept is the one a fresh build gives
+    key = cov.matrix.tobytes()
+    assert _same_decomposition(gaussian._decomposition(key),
+                               gaussian._decomposition.__wrapped__(key))
 
 
 def test_density_memo_stays_bounded():
     rng = np.random.default_rng(22)
     covs = [_random_cov_r(rng) for _ in range(20)]
-    first = gaussian._density_factors(gaussian._bits_key(covs[0].matrix))
+    first = gaussian._decomposition(covs[0].matrix.tobytes())
     for cov in covs:
         gaussian_pdf(ONE, cov)
-    info = gaussian._density_factors.cache_info()
+    info = gaussian._decomposition.cache_info()
     assert info.maxsize == 8 and info.currsize <= 8
-    # the first covariance was evicted, so its factors are built again
-    again = gaussian._density_factors(gaussian._bits_key(covs[0].matrix))
-    assert again[0] is not first[0]
-    assert again[0].tobytes() == first[0].tobytes() and again[1] == first[1]
-    assert not again[0].flags.writeable
+    # the first covariance was evicted, so it is decomposed again
+    again = gaussian._decomposition(covs[0].matrix.tobytes())
+    assert again[3] is not first[3]
+    assert _same_decomposition(again, first)
+    for m in again[:4]:  # g, w, v and whiten
+        assert not m.flags.writeable
 
 
 def test_density_honours_in_place_edit_of_the_covariance():
@@ -940,9 +953,74 @@ def test_indefinite_covariance_is_refused_on_every_call():
     # be sampled
     faces = covariance_from_params(
         all_class_params(rand_basis(np.random.default_rng(24)))["musame"])
-    misses = gaussian._eigenvalue_range.cache_info().misses
+    misses = gaussian._decomposition.cache_info().misses
     sample(faces.r, 10, seed=0)
-    assert gaussian._eigenvalue_range.cache_info().misses == misses
+    assert gaussian._decomposition.cache_info().misses == misses
+
+
+# Faces every reader refuses: entries of complex dtype on a real or
+# quaternion face, and the wrong shape for the face.
+_H_QUARTER = gaussian._quaternion_face(np.eye(4) / 4, STANDARD_BASIS).matrix
+BAD_FACES = {
+    "complex R": CovarianceR(np.eye(4) * (1 + 0.5j)),
+    "complex H": CovarianceH(_H_QUARTER * (1 + 0.5j)),
+    "R (4,)": CovarianceR(np.ones(4)),
+    "R (1,4,4)": CovarianceR(np.eye(4)[None]),
+    "R (3,3)": CovarianceR(np.eye(3)),
+    "R (5,5)": CovarianceR(np.eye(5)),
+    "H (3,3,4)": CovarianceH(_H_QUARTER[:3, :3]),
+}
+FACE_READERS = {
+    "convert real": lambda cov: convert(cov, "real"),
+    "convert complex": lambda cov: convert(cov, "complex"),
+    "convert quaternion": lambda cov: convert(cov, "quaternion"),
+    "sample": lambda cov: sample(cov, 10, seed=0),
+    "gaussian_pdf": lambda cov: gaussian_pdf(ONE, cov),
+    "symmetry_residual": lambda cov: symmetry_residual(cov, I, J),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reader", FACE_READERS)
+@pytest.mark.parametrize("face", BAD_FACES)
+def test_bad_face_is_one_line_value_error_for_every_reader(face, reader):
+    with pytest.raises(ValueError, match="covariance") as info:
+        FACE_READERS[reader](BAD_FACES[face])
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e100, 1e-100, 1e-154, 1e-160, 1e300, 1e308])
+def test_density_and_draws_at_extreme_scale(scale):
+    # prod(w) overflows or underflows at each of these scales; the density
+    # is then taken in log space, and sampling still has a Cholesky factor
+    rng = np.random.default_rng(25)
+    g = _random_cov_r(rng).matrix
+    g = g / np.abs(g).max() * scale
+    x = np.vstack([np.zeros(4), rng.normal(size=(6, 4)) * math.sqrt(scale)])
+    got = gaussian_pdf(x, CovarianceR(g))
+    want = log_density_reference(x, g)
+    assert not np.isnan(got).any()
+    fits = (want > math.log(np.finfo(float).tiny)) & (want < math.log(np.finfo(float).max))
+    assert np.allclose(got[fits], np.exp(want[fits]), rtol=1e-12, atol=0.0)
+    # where the density is beyond the float range it is 0 or inf
+    assert (got[~fits & (want > 0)] == np.inf).all()
+    assert (got[~fits & (want < 0)] <= np.finfo(float).tiny).all()
+    draws = sample(CovarianceR(g), 100, seed=3).data
+    want = np.random.default_rng(3).standard_normal((100, 4)) @ np.linalg.cholesky(g).T
+    assert draws.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_extreme_scale_densities_of_the_identity():
+    assert gaussian_pdf(ONE, CovarianceR(np.eye(4) * 1e100)) == \
+        pytest.approx(1.0 / ((2 * math.pi) ** 2 * 1e200), rel=1e-12)
+    assert gaussian_pdf(np.zeros(4), CovarianceR(np.eye(4) * 1e-100)) == \
+        pytest.approx(1e200 / (2 * math.pi) ** 2, rel=1e-12)
+    assert gaussian_pdf(ONE, CovarianceR(np.eye(4) * 1e308)) == 0.0
+    # a model built and sampled at the largest scale the CLI reaches
+    faces = covariance_from_params(HProperParams(1e300))
+    assert np.isfinite(sample(faces.r, 50, seed=1).data).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -149,6 +150,13 @@ def _read_csv(path):
         raise DataError(f"{path}: {exc}") from None
 
 
+def _out_file(text):
+    """--out as a path that names a file ("out/" does not), or a usage error."""
+    if os.path.basename(text) in ("", ".", ".."):
+        raise UsageError(f"--out must name a file, got {text!r}")
+    return Path(text)
+
+
 @contextmanager
 def _writing(path, directory):
     """Make directory and its missing parents, then write path in the block.
@@ -182,9 +190,7 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--n must be at least 1, got {args.n}")
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
-    out = Path(args.out)
-    if not out.name:
-        raise UsageError(f"--out must name a file, got {args.out!r}")
+    out = _out_file(args.out)
     sidecar = out.with_suffix(".json")
     if sidecar == out:
         raise UsageError(f"--out {args.out!r} is also the path of its .json "
@@ -243,10 +249,10 @@ def cmd_project(args) -> int:
 def cmd_rotate(args) -> int:
     u = _parse_unit_quaternion(args.u, "--u")
     v = _parse_unit_quaternion(args.v, "--v")
+    out = _out_file(args.out)
     data = _read_csv(args.input)
     with np.errstate(over="ignore", invalid="ignore"):  # the writer refuses inf/nan
         rotated = double_rotation(u, v).apply_rows(data)
-    out = Path(args.out)
     with _writing(out, out.parent):
         write_sample_csv(out, rotated)
     print(f"wrote {rotated.shape[0]} rotated draws to {out}", file=sys.stderr)

@@ -9,7 +9,7 @@ frame-dependent operation takes explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -23,7 +23,7 @@ ATOL = 1e-12
 MIN_AXIS_NORM = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Quaternion:
     """A quaternion a + b*i + c*j + d*k with real components."""
 
@@ -136,6 +136,8 @@ class PureUnit(Quaternion):
     inf component, or one so large that the norm overflows).
     """
 
+    __slots__ = ()
+
     def __init__(self, x: float, y: float, z: float):
         n = math.sqrt(x * x + y * y + z * z)
         if not math.isfinite(n):
@@ -145,15 +147,6 @@ class PureUnit(Quaternion):
             raise ValueError(f"axis vector norm {n:.3e} is below {MIN_AXIS_NORM:.0e}; "
                              "no trustworthy direction")
         super().__init__(0.0, x / n, y / n, z / n)
-
-    @classmethod
-    def from_quaternion(cls, q: Quaternion, tol: float = ATOL) -> "PureUnit":
-        """Reinterpret an (already pure, already unit) quaternion as an axis."""
-        if abs(q.a) > tol:
-            raise ValueError(f"not a pure quaternion: scalar part {q.a:.3e}")
-        if abs(q.modulus() - 1.0) > tol:
-            raise ValueError(f"not a unit quaternion: modulus {q.modulus():.17g}")
-        return cls(q.b, q.c, q.d)
 
     def axis_vec(self) -> np.ndarray:
         """The axis as a 3-vector."""
@@ -168,15 +161,29 @@ K = PureUnit(0.0, 0.0, 1.0)
 
 @dataclass(frozen=True)
 class QuaternionBasis:
-    """An orthonormal basis {1, mu1, mu2, mu3} of the quaternions.
-
-    mu3 is derived as mu1*mu2; use :func:`validate_basis` to construct one
-    from two candidate axes.
-    """
+    """An orthonormal basis {1, mu1, mu2, mu3 = mu1*mu2} of the quaternions,
+    built only as QuaternionBasis(mu1, mu2), also named validate_basis: each
+    axis must be pure and unit and the two orthogonal, all within ATOL, or
+    ValueError names the first check failed. The axes are kept normalised."""
 
     mu1: PureUnit
     mu2: PureUnit
-    mu3: PureUnit
+    mu3: PureUnit = field(init=False)
+
+    def __post_init__(self):
+        for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
+            if abs(mu.a) > ATOL:
+                raise ValueError(f"{name} is not pure: scalar part {mu.a:.3e}")
+            if abs(mu.modulus() - 1.0) > ATOL:
+                raise ValueError(f"{name} is not unit: modulus {mu.modulus():.17g}")
+        if abs(dot := (self.mu1 * self.mu2).a) > ATOL:
+            raise ValueError(f"axes are not orthogonal: Re(mu1*mu2) = {dot:.3e}")
+
+        def keep(name, q):  # field name set to q's vector part, normalised
+            object.__setattr__(self, name, PureUnit(q.b, q.c, q.d))
+        keep("mu1", self.mu1)
+        keep("mu2", self.mu2)
+        keep("mu3", self.mu1 * self.mu2)
 
     @property
     def axes(self):
@@ -196,24 +203,7 @@ class QuaternionBasis:
         return Quaternion.from_vec(self.frame @ np.asarray(coords, dtype=float))
 
 
-def validate_basis(mu1: Quaternion, mu2: Quaternion, tol: float = ATOL) -> QuaternionBasis:
-    """Validate two axes and build the basis {1, mu1, mu2, mu1*mu2}.
-
-    Raises ValueError with a distinct message when an input is not pure, not
-    unit, or when the two axes are not orthogonal.
-    """
-    for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        if abs(mu.a) > tol:
-            raise ValueError(f"{name} is not pure: scalar part {mu.a:.3e}")
-        if abs(mu.modulus() - 1.0) > tol:
-            raise ValueError(f"{name} is not unit: modulus {mu.modulus():.17g}")
-    if abs((mu1 * mu2).a) > tol:
-        raise ValueError("axes are not orthogonal: "
-                         f"Re(mu1*mu2) = {(mu1 * mu2).a:.3e}")
-    m1 = PureUnit(mu1.b, mu1.c, mu1.d)
-    m2 = PureUnit(mu2.b, mu2.c, mu2.d)
-    m3 = PureUnit.from_quaternion(m1 * m2, tol=tol)
-    return QuaternionBasis(m1, m2, m3)
+validate_basis = QuaternionBasis
 
 
 STANDARD_BASIS = validate_basis(I, J)

@@ -311,7 +311,7 @@ def quaternion_face_map(basis: QuaternionBasis) -> np.ndarray:
 def _basis_maps(frame_bytes: bytes):
     """(K, W, W^H, V, V^H) of the frame F with these bytes, read-only: W =
     _PAIR F^T gives the complex face C = W S W^H, and V = W^-1 = F _UNPAIR
-    takes it back, S = V C V^H."""
+    takes it back, S = V C V^H; F is orthonormal by construction."""
     # (q, q^mu1, q^mu2, q^mu3) = T q_vec: row r of T holds the involutions of
     # the four standard units about mu_r, column r of the frame (row 0 is the
     # identity), the three axes involved in one stacked call

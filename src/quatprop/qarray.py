@@ -8,16 +8,19 @@ for (n, 4) sample arrays.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 
 def _real(values, what: str) -> np.ndarray:
-    """values as a float array; complex values raise ValueError naming their
-    dtype rather than losing their imaginary parts."""
+    """values as a float array; values that are not real (complex dtype, or
+    objects float() refuses) raise ValueError naming their dtype."""
     x = np.asarray(values)
-    if x.dtype.kind == "c":
-        raise ValueError(f"{what} must be real, got dtype {x.dtype}")
-    return x.astype(float, copy=False)
+    if x.dtype.kind != "c":
+        with contextlib.suppress(TypeError):
+            return x.astype(float, copy=False)
+    raise ValueError(f"{what} must be real, got dtype {x.dtype}")
 
 
 def components(q) -> np.ndarray:

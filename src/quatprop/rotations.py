@@ -38,13 +38,13 @@ class So4Check(NamedTuple):
     determinant_error: float
 
 
-def is_so4(matrix: np.ndarray, tol: float = ATOL) -> So4Check:
+def is_so4(matrix: np.ndarray) -> So4Check:
     """Test membership in the 4D rotation group, returning the residuals
-    ||M M^T - I||_F and det(M) - 1 alongside the verdict."""
+    ||M M^T - I||_F and det(M) - 1 alongside the verdict (both within ATOL)."""
     m = np.asarray(matrix, dtype=float)
     orth = float(np.linalg.norm(m @ m.T - np.eye(4)))
     det = float(np.linalg.det(m) - 1.0)
-    return So4Check(orth <= tol and abs(det) <= tol, orth, det)
+    return So4Check(orth <= ATOL and abs(det) <= ATOL, orth, det)
 
 
 @dataclass(frozen=True)

@@ -552,6 +552,25 @@ def test_generate_out_without_a_file_name_is_usage_error(capsys):
     assert captured.err == "usage error: --out must name a file, got '/'\n"
 
 
+@pytest.mark.parametrize("command", ["generate", "rotate"])
+def test_out_ending_in_a_separator_is_usage_error(command, tmp_path, capsys):
+    # pathlib drops the final "/", so "results/" must be refused as given,
+    # not written as a file named results
+    src = tmp_path / "draws.csv"
+    assert run_cli(*gen_args(src, n="5")) == 0
+    before = sorted(tmp_path.iterdir())
+    out = f"{tmp_path / 'results'}/"
+    argv = {"generate": gen_args(out, n="5"),
+            "rotate": ["rotate", str(src), "--u", "1,0,0,0", "--v", "1,0,0,0",
+                       "--out", out]}[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: --out must name a file, got {out!r}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("argv, message", [
     (["classify", "--mu1", "1,0"], "usage error: --mu1 needs 3"),
     (["classify", "--mu1", "1,0,0", "--mu2", "1,0,0"],

@@ -1,13 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quatprop import (ATOL, ONE, I, J, K, PureUnit, Quaternion,
-                      STANDARD_BASIS, cayley_dickson, euler_form,
-                      validate_basis)
+from quatprop import (ATOL, ONE, I, J, K, CovarianceR, PureUnit, Quaternion,
+                      QuaternionBasis, STANDARD_BASIS, cayley_dickson,
+                      convert, euler_form, validate_basis)
 from quatprop.rotations import left_matrix
 
 from support import rand_basis, rand_quaternion
@@ -216,6 +217,44 @@ def test_validate_basis_tilted_pair():
     assert basis.mu3.isclose(-K)
 
 
+@settings(max_examples=60, deadline=None)
+@given(axes, vec3, st.floats(min_value=1e-6, max_value=1.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_basis_checks_itself(mu, v, off, seed):
+    # every basis built from an axis and the part of v orthogonal to it
+    # holds the face maps: S goes real -> complex -> real and
+    # real -> quaternion -> real within 1e-12 of its trace
+    u = mu.axis_vec()
+    w = np.array(v) - (np.array(v) @ u) * u
+    assume(np.linalg.norm(w) > 0.1)
+    w /= np.linalg.norm(w)
+    nu = PureUnit(*w)
+    basis = QuaternionBasis(mu, nu)
+    a = np.random.default_rng(seed).normal(size=(4, 4))
+    s = a @ a.T + 0.1 * np.eye(4)
+    for face in ("complex", "quaternion"):
+        back = convert(convert(CovarianceR(s, basis), face), "real").matrix
+        assert np.abs(back - s).max() <= 1e-12 * np.trace(s), face
+    # a parallel, tilted, non-pure or non-unit pair is refused with the
+    # message of its first failed check; validate_basis names the same
+    # constructor
+    assert validate_basis is QuaternionBasis
+    tilted = PureUnit(*(w + off * u))
+    not_pure = Quaternion(off, *w)
+    not_unit = Quaternion(0.0, *(u * (1.0 + off)))
+    orthogonal = "axes are not orthogonal: Re(mu1*mu2) = {:.3e}"
+    for mu1, mu2, message in [
+            (mu, mu, orthogonal.format((mu * mu).a)),
+            (mu, -mu, orthogonal.format((mu * -mu).a)),
+            (mu, tilted, orthogonal.format((mu * tilted).a)),
+            (mu, not_pure, f"mu2 is not pure: scalar part {off:.3e}"),
+            (not_pure, mu, f"mu1 is not pure: scalar part {off:.3e}"),
+            (not_unit, nu, f"mu1 is not unit: modulus {not_unit.modulus():.17g}"),
+            (nu, not_unit, f"mu2 is not unit: modulus {not_unit.modulus():.17g}")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QuaternionBasis(mu1, mu2)
+
+
 def test_pure_unit_normalises_and_rejects_tiny():
     mu = PureUnit(0, 3, 4)
     assert abs(mu.modulus() - 1.0) <= ATOL
@@ -231,13 +270,6 @@ def test_pure_unit_rejects_non_finite_norm():
             PureUnit(x, 0, 0)
     with pytest.raises(ValueError, match="is not finite"):
         validate_basis(Quaternion(0, math.nan, 0, 0), J)
-
-
-def test_pure_unit_from_quaternion_checks():
-    with pytest.raises(ValueError):
-        PureUnit.from_quaternion(Quaternion(0.1, 1, 0, 0))
-    with pytest.raises(ValueError):
-        PureUnit.from_quaternion(Quaternion(0, 0.5, 0, 0))
 
 
 def test_basis_coords_round_trip():

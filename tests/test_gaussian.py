@@ -958,12 +958,14 @@ def test_indefinite_covariance_is_refused_on_every_call():
     assert gaussian._decomposition.cache_info().misses == misses
 
 
-# Faces every reader refuses: entries of complex dtype on a real or
-# quaternion face, and the wrong shape for the face.
+# Faces every reader refuses: complex entries (of complex dtype, or Python
+# complex numbers in an object array) on a real or quaternion face, and the
+# wrong shape for the face.
 _H_QUARTER = gaussian._quaternion_face(np.eye(4) / 4, STANDARD_BASIS).matrix
 BAD_FACES = {
     "complex R": CovarianceR(np.eye(4) * (1 + 0.5j)),
     "complex H": CovarianceH(_H_QUARTER * (1 + 0.5j)),
+    "object complex R": CovarianceR(np.array([[1 + 0j] * 4] * 4, dtype=object)),
     "R (4,)": CovarianceR(np.ones(4)),
     "R (1,4,4)": CovarianceR(np.eye(4)[None]),
     "R (3,3)": CovarianceR(np.eye(3)),

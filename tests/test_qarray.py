@@ -93,7 +93,8 @@ def test_mul_is_stacked_hamilton_bit_for_bit(shapes, share, seed):
 
 @pytest.mark.parametrize("values", [np.ones((2, 4)) * (1 + 2j),
                                     np.ones((2, 4), dtype=np.complex64),
-                                    [[1j, 0, 0, 0]]])
+                                    [[1j, 0, 0, 0]],
+                                    np.array([[1 + 0j, 0, 0, 0]], dtype=object)])
 def test_sample_rows_refuses_complex_values(values):
     dtype = np.asarray(values).dtype
     with pytest.raises(ValueError, match=f"^sample array must be real, got dtype {dtype}$"):
@@ -102,8 +103,15 @@ def test_sample_rows_refuses_complex_values(values):
 
 @pytest.mark.parametrize("values", [np.ones((2, 4)) * (1 + 2j),
                                     np.ones(4, dtype=np.complex64),
-                                    [1j, 0, 0, 0]])
+                                    [1j, 0, 0, 0],
+                                    np.array([1 + 0j, 0, 0, 0], dtype=object)])
 def test_components_refuses_complex_values(values):
     dtype = np.asarray(values).dtype
     with pytest.raises(ValueError, match=f"^component vectors must be real, got dtype {dtype}$"):
         qarray.components(values)
+
+
+def test_object_arrays_of_real_numbers_are_read_as_floats():
+    rows = np.array([[1.0, 2, 3, 4]], dtype=object)
+    assert np.array_equal(qarray.sample_rows(rows), [[1.0, 2.0, 3.0, 4.0]])
+    assert qarray.components(rows).dtype == np.float64

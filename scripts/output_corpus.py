@@ -14,6 +14,14 @@ depends on where the corpus is written. Besides:
     float.hex, on draws of each class over 200 random bases;
   - faces.txt: the r, c and h faces of every class as float.hex over 20
     random bases;
+  - convert.txt: the six convert directions (c>r, c>h, r>c, r>h, h>r, h>c)
+    of each of those faces as float.hex, a complex target's real parts
+    then its imaginary parts;
+  - densities.txt: gaussian_pdf of each of those real faces at three fixed
+    points, each as a Quaternion and as a (1, 4) row, then of the general
+    class's standard-basis face scaled by 1e-160, 1e-100, 1e100 and 1e300
+    (normalised in log space) at the same points scaled by the square
+    root, all as float.hex;
   - MANIFEST.sha256: the sha256sum of every other file.
 
 Usage:
@@ -31,6 +39,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -55,6 +64,8 @@ CLASS_FLAGS = {
                 "gamma2": "0.08,0.12,0,-0.06", "gamma3": "-0.05,0.07,0.04,0"},
 }
 MANIFEST = "MANIFEST.sha256"
+# the fixed points of densities.txt, as (a, b, c, d)
+POINTS = ((0.0, 0.0, 0.0, 0.0), (0.5, -0.25, 1.0, 0.75), (-1.5, 2.0, 0.3, -0.7))
 
 
 def run_cli(argv, log):
@@ -133,7 +144,8 @@ def hexes(values):
 
 
 def api_corpus():
-    from quatprop import classify, covariance_from_params, sample
+    from quatprop import (STANDARD_BASIS, CovarianceR, classify, convert,
+                          covariance_from_params, sample)
 
     rng = np.random.default_rng(2015)
     tags = list(CLASS_FLAGS)
@@ -146,16 +158,44 @@ def api_corpus():
                      + " ".join(f"{c['label']}={float.hex(c['residual'])}"
                                 for c in report["candidates"]))
     Path("classify.txt").write_text("\n".join(lines) + "\n")
-    lines = []
+    lines, converted, densities = [], [], []
     for i in range(20):
         basis = random_basis(rng)
         for tag in tags:
-            c, r, h = covariance_from_params(class_params(tag, basis))
+            faces = covariance_from_params(class_params(tag, basis))
+            c, r, h = faces
             lines += [f"{i} {tag} r {hexes(r.matrix)}",
                       f"{i} {tag} c.real {hexes(c.matrix.real)}",
                       f"{i} {tag} c.imag {hexes(c.matrix.imag)}",
                       f"{i} {tag} h {hexes(h.matrix)}"]
+            for source, face in zip("crh", faces):
+                for to in ("real", "complex", "quaternion"):
+                    if to[0] != source:
+                        m = convert(face, to).matrix
+                        parts = (m.real, m.imag) if to == "complex" else (m,)
+                        converted.append(f"{i} {tag} {source}>{to[0]} "
+                                         + " ".join(map(hexes, parts)))
+            densities += [f"{i} {tag} point{k} {point_densities(p, r)}"
+                          for k, p in enumerate(POINTS)]
+    general = covariance_from_params(class_params("general", STANDARD_BASIS)).r
+    for scale in (1e-160, 1e-100, 1e100, 1e300):
+        r = CovarianceR(general.matrix * scale)
+        densities += [f"scale {scale!r} point{k} "
+                      f"{point_densities(np.multiply(p, math.sqrt(scale)), r)}"
+                      for k, p in enumerate(POINTS)]
     Path("faces.txt").write_text("\n".join(lines) + "\n")
+    Path("convert.txt").write_text("\n".join(converted) + "\n")
+    Path("densities.txt").write_text("\n".join(densities) + "\n")
+
+
+def point_densities(components, cov):
+    """gaussian_pdf at a point given as a Quaternion, then as a (1, 4) row,
+    as float.hex."""
+    from quatprop import Quaternion, gaussian_pdf
+
+    row = np.array([components], dtype=float)
+    return (f"{float.hex(gaussian_pdf(Quaternion(*row[0]), cov))} "
+            f"{hexes(gaussian_pdf(row, cov))}")
 
 
 def corpus_files(root):

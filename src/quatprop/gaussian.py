@@ -343,24 +343,53 @@ _FACES = {CovarianceR: ("real", (4, 4)), CovarianceC: ("complex", (4, 4)),
 def _real_face(cov) -> np.ndarray:
     """The real face S of any face as a float (4, 4) array: the one check of
     a face. A wrong shape, a real or quaternion face of complex dtype, a
-    non-finite entry, and a complex or quaternion face whose S overflows or
-    lies off the real 4x4 matrices by more than 1e-9 of its scale raise
-    ValueError. Those two faces give a symmetrised S; a real face is not
-    symmetrised here, so reading it stays cheap."""
+    complex face whose entries are not complex numbers, a non-finite entry,
+    and a complex or quaternion face whose S overflows or lies off the real
+    4x4 matrices by more than 1e-9 of its scale raise ValueError. Those two
+    faces give a symmetrised, read-only S, checked once per content (see
+    _checked_face); a real face is neither symmetrised nor kept, so reading
+    it stays cheap."""
     face, shape = _FACES.get(type(cov), (None, None))
     if face is None:
         raise TypeError(f"not a covariance face: {type(cov).__name__}")
-    m = (np.asarray(cov.matrix) if face == "complex"
-         else qarray._real(cov.matrix, f"{face}-face covariance entries"))
+    what = f"{face}-face covariance entries"
+    if face == "complex":
+        m = np.asarray(cov.matrix)
+        try:
+            m = m.astype(complex, copy=False)
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} must be complex numbers, got dtype "
+                             f"{m.dtype}") from None
+    else:
+        m = qarray._real(cov.matrix, what)
     if m.shape != shape:
         raise ValueError(f"matrix is not a valid {face}-face covariance "
                          f"(shape {m.shape}, expected {shape})")
+    if face != "real":
+        return _checked_face(face, m.tobytes(), cov.basis.frame.tobytes())
+    if not np.isfinite(m).all():
+        raise ValueError("matrix is not a valid real-face covariance "
+                         "(non-finite entry)")
+    return m
+
+
+# Each read of a complex or quaternion face checks it in full and maps it to
+# S, and a model's faces are read again and again (converted to each other
+# face, sampled, evaluated), so the S of the few faces checked most recently
+# is kept, keyed by the face kind, the bytes of the matrix after _real_face's
+# cast (in C order, so its layout does not matter) and the bytes of the basis
+# frame. Exceptions are not kept: an invalid face raises on every call.
+@lru_cache(maxsize=8)
+def _checked_face(face: str, m_bytes: bytes, frame_bytes: bytes):
+    """The read-only real face S of the complex (complex128) or quaternion
+    (float64) face matrix with these bytes on the basis frame with these
+    bytes, after _real_face's full check."""
+    m = np.frombuffer(m_bytes, complex if face == "complex" else float)
+    m = m.reshape((4, 4) if face == "complex" else (4, 4, 4))
     if not np.isfinite(m).all():
         raise ValueError(f"matrix is not a valid {face}-face covariance "
                          "(non-finite entry)")
-    if face == "real":
-        return m
-    K, _, _, v, vh = _basis_maps(cov.basis.frame.tobytes())
+    K, _, _, v, vh = _basis_maps(frame_bytes)
     # the maps may overflow on huge finite entries; that is reported below
     with np.errstate(over="ignore", invalid="ignore"):
         if face == "complex":
@@ -377,7 +406,9 @@ def _real_face(cov) -> np.ndarray:
     if residual > 1e-9 * max(largest, 1.0):
         raise ValueError(f"matrix is not a valid {face}-face covariance "
                          f"for this basis (residual {residual:.3e})")
-    return _symmetric(s)
+    s = _symmetric(s)
+    s.flags.writeable = False
+    return s
 
 
 def _complex_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceC:
@@ -403,7 +434,7 @@ def convert(cov, to: str):
     if _FACES[type(cov)][0] == to:
         return cov
     if to == "real":
-        return CovarianceR(s, basis)
+        return CovarianceR(s.copy(), basis)  # S is the memo's, read-only
     if to == "complex":
         return _complex_face(s, basis)
     return _quaternion_face(s, basis)
@@ -485,7 +516,7 @@ def covariance_from_params(params) -> CovarianceFaces:
     _refuse_indefinite(gr, "parameters give an indefinite covariance")
     c = given if isinstance(given, CovarianceC) else _complex_face(gr, basis)
     h = given if isinstance(given, CovarianceH) else _quaternion_face(gr, basis)
-    return CovarianceFaces(c, CovarianceR(gr, basis), h)
+    return CovarianceFaces(c, CovarianceR(gr.copy(), basis), h)
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +751,9 @@ def sample(cov: CovarianceR, n: int, seed: int, class_tag=None,
 # ---------------------------------------------------------------------------
 # densities
 
+_NON_FINITE_POINT = "non-finite input: a component of q is nan or inf"
+
+
 def gaussian_pdf(q, cov: CovarianceR):
     """Density of the centred 4-variate normal with the given covariance,
     evaluated at a Quaternion or an (..., 4) array of component vectors.
@@ -729,15 +763,22 @@ def gaussian_pdf(q, cov: CovarianceR):
     |x V diag(w)^-1/2|^2 and the normaliser comes from prod(w), or from the
     sum of log(w) when prod(w) leaves the normal range, so a covariance of
     any scale has a density without overflow (one beyond the float range is
-    inf). Rows are checked and evaluated a block at a time into one output,
-    so the temporaries do not grow with the number of rows. A covariance
-    with a non-finite entry, or one that is not positive definite, a point
-    with a non-finite component and an array whose last axis is not 4 raise
-    ValueError.
+    inf). A Quaternion is evaluated directly as one (1, 4) row, its
+    components checked one by one; an array's rows are checked and
+    evaluated a block at a time into one output, so the temporaries do not
+    grow with the number of rows. Both run the same numpy arithmetic on a
+    row, so a point's density is bit-identical to that of its (1, 4) row.
+    A covariance with a non-finite entry, or one that is not positive
+    definite, a point with a non-finite component and an array whose last
+    axis is not 4 raise ValueError.
     """
     _, w, _, whiten, norm, log_norm = _decomposition(_real_face(cov).tobytes())
     if whiten is None:
         raise ValueError(f"covariance is singular: min eigenvalue {w[0]:.6e}")
+    if isinstance(q, Quaternion):
+        if not all(map(math.isfinite, (q.a, q.b, q.c, q.d))):
+            raise ValueError(_NON_FINITE_POINT)
+        return _densities(q.to_vec()[None], whiten, norm, log_norm).item()
     x = qarray.components(q)
     # numpy multiplies a stack of one-row matrices row by row with gemv, so
     # such a stack keeps its rows apart; anything else becomes (N, 4) rows
@@ -746,16 +787,21 @@ def gaussian_pdf(q, cov: CovarianceR):
     for span in qarray.row_blocks(rows.shape[0]):
         block = rows[span]
         if not np.isfinite(block).all():
-            raise ValueError("non-finite input: a component of q is nan or inf")
-        y = block @ whiten
-        exponent = -0.5 * np.einsum("...i,...i->...", y, y)
-        if log_norm is None:
-            out[span] = norm * np.exp(exponent)
-        else:
-            with np.errstate(over="ignore"):
-                out[span] = np.exp(log_norm + exponent)
+            raise ValueError(_NON_FINITE_POINT)
+        out[span] = _densities(block, whiten, norm, log_norm)
     out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
+
+
+def _densities(rows, whiten, norm, log_norm):
+    """The densities of a block of finite (..., 4) rows from
+    _decomposition's factors."""
+    y = rows @ whiten
+    exponent = -0.5 * np.einsum("...i,...i->...", y, y)
+    if log_norm is None:
+        return norm * np.exp(exponent)
+    with np.errstate(over="ignore"):
+        return np.exp(log_norm + exponent)
 
 
 def pdf_1mu_proper(q: Quaternion, sigma2: float, gamma_1j: Quaternion,

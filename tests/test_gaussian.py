@@ -958,14 +958,146 @@ def test_indefinite_covariance_is_refused_on_every_call():
     assert gaussian._decomposition.cache_info().misses == misses
 
 
+# --- the check of a complex or quaternion face, kept per content -------------
+
+_FACE_TYPES = {"complex": CovarianceC, "quaternion": CovarianceH}
+
+
+def _unmemoised_real_face(cov):
+    """The full check of a complex or quaternion face, run afresh."""
+    face = "complex" if isinstance(cov, CovarianceC) else "quaternion"
+    m = np.asarray(cov.matrix, dtype=complex if face == "complex" else float)
+    return gaussian._checked_face.__wrapped__(face, m.tobytes(),
+                                              cov.basis.frame.tobytes())
+
+
+def _edit_off_the_image(m, by=0.25):
+    """Move entry (0, 1) of a complex or quaternion face matrix in place, so
+    that it no longer mirrors (1, 0): no real face has it."""
+    m[(0, 1) + (0,) * (m.ndim - 2)] += by
+
+
+# Each test of this memo also fails for a memo keyed by the matrix object
+# rather than its bytes, or for one that lets a face past the check.
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["complex", "quaternion"]))
+def test_memoised_face_check_equals_fresh_check(seed, face):
+    rng = np.random.default_rng(seed)
+    basis = rand_basis(rng)
+    m = convert(_random_cov_r(rng, basis), face).matrix.copy()
+    cov = _FACE_TYPES[face](m, basis)
+    gaussian._checked_face.cache_clear()
+    for _ in range(2):  # checked, then from the memo
+        assert _same_bits(gaussian._real_face(cov), _unmemoised_real_face(cov))
+    # a face of equal bytes is a hit, whatever object holds it
+    hits = gaussian._checked_face.cache_info().hits
+    twin = type(cov)(m.copy(), basis)
+    assert _same_bits(gaussian._real_face(twin), _unmemoised_real_face(cov))
+    assert gaussian._checked_face.cache_info().hits == hits + 1
+    # the same object edited in place is read anew: on the real image it
+    # gives the new S, off it it is refused
+    m *= 2.0
+    assert _same_bits(convert(cov, "real").matrix, _unmemoised_real_face(cov))
+    _edit_off_the_image(m)
+    with pytest.raises(ValueError, match="for this basis"):
+        gaussian._real_face(cov)
+
+
+def test_face_memo_stays_bounded():
+    rng = np.random.default_rng(26)
+    covs = [convert(_random_cov_r(rng), "quaternion") for _ in range(20)]
+    first = gaussian._real_face(covs[0])
+    for cov in covs:
+        assert gaussian._real_face(cov) is gaussian._real_face(cov)
+        assert not gaussian._real_face(cov).flags.writeable
+    info = gaussian._checked_face.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+    # the first face was evicted, so it is checked again
+    again = gaussian._real_face(covs[0])
+    assert again is not first and _same_bits(again, first)
+    with pytest.raises(ValueError, match="read-only"):
+        again[0, 0] = 1.0
+    # a face edited in place is not answered from the entry of its old bytes
+    _edit_off_the_image(covs[-1].matrix)
+    with pytest.raises(ValueError, match="for this basis"):
+        gaussian._real_face(covs[-1])
+
+
+@pytest.mark.parametrize("face", ["complex", "quaternion"])
+def test_face_edited_off_the_real_image_is_refused_on_the_next_read(face):
+    m = convert(_random_cov_r(np.random.default_rng(27)), face).matrix.copy()
+    cov = _FACE_TYPES[face](m)
+    before = convert(cov, "real").matrix
+    _edit_off_the_image(m)
+    for to in ("real", "complex", "quaternion"):
+        with pytest.raises(ValueError, match=f"not a valid {face}-face "
+                                             "covariance for this basis"):
+            convert(cov, to)
+    _edit_off_the_image(m, -0.25)
+    assert _same_bits(convert(cov, "real").matrix, before)
+
+
+@pytest.mark.parametrize("face, entry", [("complex", 0.5 + 0.5j),
+                                         ("complex", complex(np.nan)),
+                                         ("quaternion", 0.5)])
+def test_bad_face_raises_on_every_call_and_is_not_kept(face, entry):
+    # a valid face, read once, then given a bad entry in place
+    m = convert(CovarianceR(np.eye(4)), face).matrix.copy()
+    cov = _FACE_TYPES[face](m)
+    gaussian._checked_face.cache_clear()
+    gaussian._real_face(cov)
+    m[(0, 1) + (0,) * (m.ndim - 2)] = entry
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"not a valid {face}-face"):
+            gaussian_pdf(ONE, cov)
+    info = gaussian._checked_face.cache_info()
+    assert info.currsize == 1 and info.misses == 3
+
+
+def test_public_real_faces_are_fresh_and_writable():
+    params = all_class_params(rand_basis(np.random.default_rng(28)))["musame"]
+    faces = covariance_from_params(params)
+    c, h = (CovarianceC(faces.c.matrix.copy(), params.basis),
+            CovarianceH(faces.h.matrix.copy(), params.basis))
+    for read in (lambda: convert(h, "real").matrix,
+                 lambda: convert(c, "real").matrix,
+                 lambda: covariance_from_params(params).r.matrix):
+        first = read()
+        want = first.copy()
+        assert first.flags.writeable
+        first[:] = 0.0
+        assert _same_bits(read(), want)
+        assert read() is not read()
+    # what is handed out follows the face's bytes: doubled, then refused
+    for face in (c, h):
+        want = convert(face, "real").matrix * 2.0
+        face.matrix[...] *= 2.0
+        assert _same_bits(convert(face, "real").matrix, want)
+        _edit_off_the_image(face.matrix)
+        with pytest.raises(ValueError, match="for this basis"):
+            convert(face, "real")
+
+
+def test_object_complex_face_reads_as_its_complex128_copy():
+    faces = covariance_from_params(
+        all_class_params(rand_basis(np.random.default_rng(29)))["mumu"])
+    as_objects = CovarianceC(faces.c.matrix.astype(object), faces.c.basis)
+    for to in ("real", "quaternion"):
+        assert _same_bits(convert(as_objects, to).matrix,
+                          convert(faces.c, to).matrix)
+    assert gaussian_pdf(ONE, as_objects) == gaussian_pdf(ONE, faces.c)
+
+
 # Faces every reader refuses: complex entries (of complex dtype, or Python
-# complex numbers in an object array) on a real or quaternion face, and the
-# wrong shape for the face.
+# complex numbers in an object array) on a real or quaternion face, entries
+# that are not numbers on a complex face, and the wrong shape for the face.
 _H_QUARTER = gaussian._quaternion_face(np.eye(4) / 4, STANDARD_BASIS).matrix
 BAD_FACES = {
     "complex R": CovarianceR(np.eye(4) * (1 + 0.5j)),
     "complex H": CovarianceH(_H_QUARTER * (1 + 0.5j)),
     "object complex R": CovarianceR(np.array([[1 + 0j] * 4] * 4, dtype=object)),
+    "string C": CovarianceC(np.full((4, 4), "x", dtype=object)),
     "R (4,)": CovarianceR(np.ones(4)),
     "R (1,4,4)": CovarianceR(np.eye(4)[None]),
     "R (3,3)": CovarianceR(np.eye(3)),
@@ -1023,6 +1155,21 @@ def test_extreme_scale_densities_of_the_identity():
     # a model built and sampled at the largest scale the CLI reaches
     faces = covariance_from_params(HProperParams(1e300))
     assert np.isfinite(sample(faces.r, 50, seed=1).data).all()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-160, 1e300]))
+def test_point_density_equals_its_row_bit_for_bit(seed, scale):
+    # a Quaternion takes the direct path, its (1, 4) row and its (4,) vector
+    # the row blocks; at 1e-160 and 1e300 the normaliser is in log space
+    rng = np.random.default_rng(seed)
+    cov = CovarianceR(_random_cov_r(rng).matrix * scale)
+    q = rand_quaternion(rng, scale=math.sqrt(scale))
+    point = gaussian_pdf(q, cov)
+    assert type(point) is float
+    assert float.hex(point) == float.hex(float(gaussian_pdf(q.to_vec()[None], cov)[0]))
+    assert float.hex(point) == float.hex(gaussian_pdf(q.to_vec(), cov))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -200,20 +200,22 @@ def axis_name(mu: Quaternion) -> str:
     return "(" + ",".join(format(v, ".3g") for v in vec) + ")"
 
 
-# The tier policy, stated once. classify tests hproper first, then each tier
-# of rotation classes below in turn, then falls back to general; it chooses
-# the first tier in which some candidate's residual clears the tolerance,
-# and the smallest residual inside that tier. A class's candidates are its
-# rotations (see the *Params classes). The order is a policy, not the
-# fixed-space dimension (6 for a pair rotation, 4 for a one-sided one).
+# The tier policy, stated once. classify ranks hproper as tier 0, each tier
+# of rotation classes below as tiers 1, 2, ..., and general last; it chooses
+# the lowest tier holding a residual below the tolerance, the smallest
+# residual in it, and the earliest candidate on a tie (general, scored 0,
+# always passes). A class's candidates are its rotations (see the *Params
+# classes). The order is a policy, not the fixed-space dimension (6 for a
+# pair rotation, 4 for a one-sided one).
 _TIERS = ((MuMuParams, MuSameParams), (MuOneParams, OneMuParams))
 
-# each tier's (tag, axis indices) candidates, and all their (u, v) stacked
-_TIER_CANDIDATES = [[(cls.tag, tuple(dict.fromkeys(i for i in uv if i < 3)))
-                     for cls in tier for uv in cls.rotations]
-                    for tier in _TIERS]
-_ROTATION_U, _ROTATION_V = np.array([uv for tier in _TIERS for cls in tier
-                                     for uv in cls.rotations]).T
+# one row per rotation candidate, in report order: its tier, tag, axis
+# indices, and the (u, v) indices of its factors among (mu1, mu2, mu3, 1)
+_CANDIDATES = tuple(
+    (tier, cls.tag, tuple(dict.fromkeys(i for i in uv if i < 3)), uv)
+    for tier, classes in enumerate(_TIERS, 1)
+    for cls in classes for uv in cls.rotations)
+_ROTATION_U, _ROTATION_V = np.array([row[3] for row in _CANDIDATES]).T
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -240,29 +242,23 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
     tol = c / math.sqrt(n)
 
     h_resid = max(g.modulus() for g in cc.gammas) / cc.sigma2
-    # the factors of every candidate (index 3 is the factor 1) made unit as
-    # double_rotation makes them, then every M = L(u) R(v), and its defect,
-    # in one stack
+    # L(u) and R(v) of the four factors, made unit as double_rotation makes
+    # them; each candidate's M = L(u) R(v) is picked out through the table
     units = np.array([unit_factor(q).to_vec() for q in (*basis.axes, ONE)])
-    m = left_matrix(units[_ROTATION_U]) @ right_matrix(units[_ROTATION_V])
-    residuals = iter(_rotation_residuals(s, m, cc.sigma2).tolist())
-    tiers = [[Candidate(PropernessTag.H_PROPER, (), h_resid)]]
-    tiers += [[Candidate(tag, axes, next(residuals)) for tag, axes in tier]
-              for tier in _TIER_CANDIDATES]
-    fallback = Candidate(PropernessTag.GENERAL, (), 0.0)
-
-    chosen = fallback
-    for tier in tiers:
-        passing = [cand for cand in tier if cand.residual < tol]
-        if passing:
-            chosen = min(passing, key=lambda cand: cand.residual)
-            break
-
-    candidates = tuple(cand for tier in tiers for cand in tier) + (fallback,)
+    m = left_matrix(units)[_ROTATION_U] @ right_matrix(units)[_ROTATION_V]
+    residuals = _rotation_residuals(s, m, cc.sigma2).tolist()
+    ranked = [(0, Candidate(PropernessTag.H_PROPER, (), h_resid))]
+    ranked += [(tier, Candidate(tag, axes, resid))
+               for (tier, tag, axes, _), resid in zip(_CANDIDATES, residuals)]
+    ranked.append((len(_TIERS) + 1, Candidate(PropernessTag.GENERAL, (), 0.0)))
     # S is finite (see _moments), but |gamma|^2 or a defect can overflow
-    if not all(math.isfinite(cand.residual) for cand in candidates):
+    if not all(math.isfinite(cand.residual) for _, cand in ranked):
         raise ValueError("second moments are not finite: sample values too large")
-    return PropernessReport(candidates, chosen, tol, n, basis, cc)
+    # min keeps the earliest of equal keys
+    _, chosen = min((row for row in ranked if row[1].residual < tol),
+                    key=lambda row: (row[0], row[1].residual))
+    return PropernessReport(tuple(cand for _, cand in ranked), chosen, tol,
+                            n, basis, cc)
 
 
 def via_class_alias(report: PropernessReport) -> str:

@@ -401,3 +401,18 @@ def test_symmetry_residual_needs_positive_finite_trace():
     for diag in ([-1.0, 0.5, 0.25, 0.25], [1e308, 1e308, 1.0, 1.0]):
         with pytest.raises(ValueError, match="trace"):
             symmetry_residual(CovarianceR(np.diag(diag)), I, J)
+
+
+def test_tied_candidates_are_all_reported_and_the_earliest_chosen():
+    # draws with only the real component nonzero: every rotation that moves
+    # 1 off its own line scores 1, hproper scores 1, and q -> mu*q*mu sends 1
+    # to -1, so musame(i), musame(j) and musame(k) tie at exactly 0 in tier
+    # 1; the report lists all three and the earliest is chosen
+    x = np.zeros((500, 4))
+    x[:, 0] = np.random.default_rng(3).normal(size=500)
+    report = classify(x, STANDARD_BASIS)
+    scores = {cand.label(STANDARD_BASIS): cand.residual
+              for cand in report.candidates}
+    assert scores["hproper"] == 1.0
+    assert [scores[f"musame({a})"] for a in "ijk"] == [0.0, 0.0, 0.0]
+    assert report.chosen.label(STANDARD_BASIS) == "musame(i)"

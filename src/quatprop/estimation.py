@@ -118,8 +118,8 @@ def symmetry_residual(cov: CovarianceR, u: Quaternion, v: Quaternion) -> float:
     """The defect of the covariance S under the rotation (u, v), scored as
     classify scores a candidate: max |M S M^T - S| / tr S.
 
-    A covariance with a non-finite entry, or whose trace is not positive
-    and finite, raises ValueError.
+    A face that _real_face refuses, or whose trace is not positive and
+    finite, raises ValueError.
     """
     g = _real_face(cov)
     sigma2 = float(np.trace(g))

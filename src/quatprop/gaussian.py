@@ -204,7 +204,7 @@ class HProperParams(_ParamsBase):
 class GeneralParams(_ParamsBase):
     """Unconstrained covariance: total variance sigma2 = E[|q|^2] plus the
     three complementary covariances, each a degenerate quaternion missing the
-    component along its own involution axis.
+    component along its own involution axis (to ATOL * max(1, |gamma|)).
     """
 
     sigma2: float
@@ -219,7 +219,7 @@ class GeneralParams(_ParamsBase):
         super().__post_init__()
         for idx, g in ((1, self.gamma1), (2, self.gamma2), (3, self.gamma3)):
             coord = self.basis.to_coords(g)[idx]
-            if abs(coord) > ATOL:
+            if abs(coord) > ATOL * max(1.0, abs(g)):
                 raise ValueError(
                     f"gamma{idx} must have no component on its own axis "
                     f"(found {coord:.3e})")
@@ -341,14 +341,12 @@ _FACES = {CovarianceR: ("real", (4, 4)), CovarianceC: ("complex", (4, 4)),
 
 
 def _real_face(cov) -> np.ndarray:
-    """The real face S of any face as a float (4, 4) array: the one check of
-    a face. A wrong shape, a real or quaternion face of complex dtype, a
-    complex face whose entries are not complex numbers, a non-finite entry,
-    and a complex or quaternion face whose S overflows or lies off the real
-    4x4 matrices by more than 1e-9 of its scale raise ValueError. Those two
-    faces give a symmetrised, read-only S, checked once per content (see
-    _checked_face); a real face is neither symmetrised nor kept, so reading
-    it stays cheap."""
+    """The symmetric, read-only real face S of any face: the one check of a
+    face, run once per content (see _checked_face). A wrong shape, a real or
+    quaternion face of complex dtype, a complex face of non-numbers, a
+    non-finite entry, an S that overflows, and a face off the real 4x4
+    matrices or an S off the symmetric ones by more than 1e-9 of its scale
+    raise ValueError."""
     face, shape = _FACES.get(type(cov), (None, None))
     if face is None:
         raise TypeError(f"not a covariance face: {type(cov).__name__}")
@@ -365,47 +363,50 @@ def _real_face(cov) -> np.ndarray:
     if m.shape != shape:
         raise ValueError(f"matrix is not a valid {face}-face covariance "
                          f"(shape {m.shape}, expected {shape})")
-    if face != "real":
-        return _checked_face(face, m.tobytes(), cov.basis.frame.tobytes())
-    if not np.isfinite(m).all():
-        raise ValueError("matrix is not a valid real-face covariance "
-                         "(non-finite entry)")
-    return m
+    return _checked_face(face, m.tobytes(), cov.basis.frame.tobytes())
 
 
-# Each read of a complex or quaternion face checks it in full and maps it to
-# S, and a model's faces are read again and again (converted to each other
-# face, sampled, evaluated), so the S of the few faces checked most recently
-# is kept, keyed by the face kind, the bytes of the matrix after _real_face's
-# cast (in C order, so its layout does not matter) and the bytes of the basis
-# frame. Exceptions are not kept: an invalid face raises on every call.
+# Each read of a face checks it in full and maps it to S, and a model's
+# faces are read again and again (converted to each other face, sampled,
+# evaluated), so the S of the few faces checked most recently is kept, keyed
+# by the face kind, the bytes of the matrix after _real_face's cast (in C
+# order, so its layout does not matter) and the bytes of the basis frame.
+# Exceptions are not kept: an invalid face raises on every call.
 @lru_cache(maxsize=8)
 def _checked_face(face: str, m_bytes: bytes, frame_bytes: bytes):
-    """The read-only real face S of the complex (complex128) or quaternion
-    (float64) face matrix with these bytes on the basis frame with these
-    bytes, after _real_face's full check."""
+    """The read-only, symmetrised real face S of the real (float64), complex
+    (complex128) or quaternion (float64) face matrix with these bytes on the
+    basis frame with these bytes, after _real_face's full check."""
     m = np.frombuffer(m_bytes, complex if face == "complex" else float)
-    m = m.reshape((4, 4) if face == "complex" else (4, 4, 4))
+    m = m.reshape((4, 4, 4) if face == "quaternion" else (4, 4))
     if not np.isfinite(m).all():
         raise ValueError(f"matrix is not a valid {face}-face covariance "
                          "(non-finite entry)")
-    K, _, _, v, vh = _basis_maps(frame_bytes)
     # the maps may overflow on huge finite entries; that is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        if face == "complex":
+        if face == "real":  # needs no maps, so none are built for its basis
+            s, residual = m, 0.0
+        elif face == "complex":
+            v, vh = _basis_maps(frame_bytes)[3:]
             s = v @ m @ vh
             s, residual = s.real, np.abs(s.imag).max()
         else:
+            K = _basis_maps(frame_bytes)[0]
             s = np.einsum("rsc,rsabc->ab", m, K) / 16.0
             residual = np.abs(m - np.einsum("ab,rsabc->rsc", s, K)).max()
+        asymmetry = np.abs(s - s.T).max()
     # max |s| is nan or inf exactly when an entry is
     largest = float(np.abs(s).max())
     if not (math.isfinite(largest) and math.isfinite(residual)):
         raise ValueError(f"matrix is not a valid {face}-face covariance "
                          "(its real face overflows)")
-    if residual > 1e-9 * max(largest, 1.0):
+    tolerance = 1e-9 * max(largest, 1.0)
+    if residual > tolerance:
         raise ValueError(f"matrix is not a valid {face}-face covariance "
                          f"for this basis (residual {residual:.3e})")
+    if asymmetry > tolerance:
+        raise ValueError(f"matrix is not a valid {face}-face covariance "
+                         f"(its real face is not symmetric: {asymmetry:.3e})")
     s = _symmetric(s)
     s.flags.writeable = False
     return s
@@ -424,20 +425,18 @@ def _quaternion_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceH:
 def convert(cov, to: str):
     """Change a covariance to another face ("real", "complex", "quaternion").
 
-    Every conversion goes through the real face S, and every face given is
-    checked as _real_face checks it, whatever the target: a bad face raises
-    ValueError, even one already on the face asked for.
+    Every face given is checked as _real_face checks it, whatever the
+    target: a bad face raises ValueError. "real" gives a fresh copy of the
+    symmetric S, and another face asked for its own face is returned as is.
     """
     if to not in ("real", "complex", "quaternion"):
         raise ValueError(f"unknown face {to!r}")
     s, basis = _real_face(cov), cov.basis
-    if _FACES[type(cov)][0] == to:
-        return cov
     if to == "real":
         return CovarianceR(s.copy(), basis)  # S is the memo's, read-only
     if to == "complex":
-        return _complex_face(s, basis)
-    return _quaternion_face(s, basis)
+        return cov if isinstance(cov, CovarianceC) else _complex_face(s, basis)
+    return cov if isinstance(cov, CovarianceH) else _quaternion_face(s, basis)
 
 
 def quaternion_face_from_gammas(sigma2: float, gamma1: Quaternion,
@@ -467,18 +466,18 @@ def quaternion_face_from_gammas(sigma2: float, gamma1: Quaternion,
 # A model's covariance is checked when it is built, and again when it is
 # sampled or its density is taken, often at single points, so the few
 # covariances used most recently are decomposed once each and kept, keyed by
-# the bytes of their float (4, 4) real face. Nothing here warns or raises
-# for a valid covariance: a singular one gets no density factors, and
-# gaussian_pdf refuses it on every call.
+# the bytes of their checked real face S. Nothing here warns or raises for a
+# valid covariance: a singular one gets no density factors, and gaussian_pdf
+# refuses it on every call.
 @lru_cache(maxsize=8)
 def _decomposition(s_bytes: bytes):
     """(g, w, v, whiten, norm, log_norm) of the real face S with these
-    bytes: g = (S + S^T) / 2 = V diag(w) V^T (w ascending) and, when every w
-    is positive, gaussian_pdf's whiten = V diag(w)^-1/2 and normaliser
-    1 / ((2 pi)^2 sqrt(prod(w))), as norm while prod(w) is a finite normal
-    number and otherwise as its logarithm log_norm; the other is None. The
-    arrays are read-only."""
-    g = _symmetric(np.frombuffer(s_bytes).reshape(4, 4))
+    bytes, symmetric as _real_face gives it: g = S = V diag(w) V^T (w
+    ascending) and, when every w is positive, gaussian_pdf's whiten =
+    V diag(w)^-1/2 and normaliser 1 / ((2 pi)^2 sqrt(prod(w))), as norm
+    while prod(w) is a finite normal number and otherwise as its logarithm
+    log_norm; the other is None. The arrays are read-only."""
+    g = np.frombuffer(s_bytes).reshape(4, 4)
     w, v = np.linalg.eigh(g)
     whiten = norm = log_norm = None
     if w[0] > 0.0:
@@ -810,12 +809,12 @@ def pdf_1mu_proper(q: Quaternion, sigma2: float, gamma_1j: Quaternion,
     basis axis mu2 (for the standard basis: by j).
 
     sigma2 is the total variance E[|q|^2]; gamma_1j = E[q (q^mu2)*] is the one
-    complementary covariance the class retains, and must have no mu2
-    component. The quadratic form is evaluated with quaternion products only;
-    the real-face covariance has eigenvalues (sigma2 +- |gamma_1j|)/4, each
-    twice, so the square root of its determinant is
-    (sigma2^2 - |gamma_1j|^2)/16. A non-finite q, sigma2 or gamma_1j
-    raises ValueError.
+    complementary covariance the class retains, and its mu2 coordinate must
+    be within 1e-9 * max(1, |gamma_1j|) of 0. The quadratic form is
+    evaluated with quaternion products only; the real-face covariance has
+    eigenvalues (sigma2 +- |gamma_1j|)/4, each twice, so the square root of
+    its determinant is (sigma2^2 - |gamma_1j|^2)/16. A non-finite q, sigma2
+    or gamma_1j raises ValueError.
     """
     g = gamma_1j
     if not all(map(math.isfinite, (sigma2, q.a, q.b, q.c, q.d,
@@ -823,7 +822,7 @@ def pdf_1mu_proper(q: Quaternion, sigma2: float, gamma_1j: Quaternion,
         raise ValueError(f"non-finite input: q = {q!r}, sigma2 = {sigma2!r}, "
                          f"gamma_1j = {g!r}")
     nu = basis.mu2
-    if abs(basis.to_coords(gamma_1j)[2]) > 1e-9:
+    if abs(basis.to_coords(gamma_1j)[2]) > 1e-9 * max(1.0, abs(gamma_1j)):
         raise ValueError("gamma_1j must have no component along the properness axis")
     if not sigma2 > 0.0:
         raise ValueError(f"degenerate parameters: sigma2 = {sigma2:.6e}")

@@ -134,8 +134,9 @@ def generate_params_reference(tag, flags, basis=STANDARD_BASIS):
             return message
         out[flag] = value
     for idx in (1, 2, 3) if tag == "general" else ():
-        coords = basis.to_coords(basis.from_coords(out[f"gamma{idx}"]))
-        if abs(coords[idx]) > ATOL:
+        gamma = basis.from_coords(out[f"gamma{idx}"])
+        coords = basis.to_coords(gamma)
+        if abs(coords[idx]) > ATOL * max(1.0, abs(gamma)):
             return (f"gamma{idx} must have no component on its own axis "
                     f"(found {coords[idx]:.3e})")
         out[f"gamma{idx}"] = list(coords)

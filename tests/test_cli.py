@@ -363,7 +363,7 @@ GOOD_VALUES = {"sigma2": "1", "varsigma2": "2", "alpha": "0.3,0.1",
 # values, and values every kind accepts
 ODD_VALUES = ["1,0.5", "2,-1", "-0.2,0", "0.3", "0.3,0.1,4", "x", "1,y",
               "inf", "nan,1", "", "0.1,0.2,0,0", "0,0,0.1,0", "0,0,0,0.2",
-              "0,0,inf,0", "1,2,3", "0,0,0,0"]
+              "0,0,inf,0", "1,2,3", "0,0,0,0", "3e6,0,2e6,1e6"]
 
 
 def _bases():

@@ -564,6 +564,24 @@ def test_pdf_1mu_proper_depends_only_on_invariants():
                    - pdf_1mu_proper(q2, sigma2, gamma)) <= 1e-12
 
 
+def test_own_axis_checks_scale_with_the_gamma():
+    # from_coords and to_coords leave a round-off coordinate on the own axis
+    # that grows with |gamma|; a component of 1e-6 |gamma| is still refused
+    basis = validate_basis(PureUnit(1, 2, 3), PureUnit(3, 0, -1))
+    coords = ([3, 0, 2, 1], [1, 2, 0, 1], [1, 1, 2, 0])
+    for scale in (1e3, 1e6, 1e9):
+        gammas = [basis.from_coords(np.multiply(c, scale)) for c in coords]
+        GeneralParams(40 * scale, *gammas, basis=basis)
+        with pytest.raises(ValueError, match="^gamma1 must have no component"):
+            GeneralParams(40 * scale, gammas[0] + basis.mu1 * (1e-6 * scale),
+                          *gammas[1:], basis=basis)
+        gamma = basis.from_coords(np.multiply(coords[1], scale))
+        assert pdf_1mu_proper(ONE * math.sqrt(scale), 4 * scale, gamma, basis) > 0.0
+        with pytest.raises(ValueError, match="properness axis"):
+            pdf_1mu_proper(ONE, 4 * scale, gamma + basis.mu2 * (1e-6 * scale),
+                           basis)
+
+
 def test_pdf_1mu_proper_rejects_bad_inputs():
     with pytest.raises(ValueError, match="properness axis"):
         pdf_1mu_proper(Quaternion(1, 0, 0, 0), 1.0, Quaternion(0, 0, 0.5, 0))
@@ -1091,8 +1109,12 @@ def test_object_complex_face_reads_as_its_complex128_copy():
 
 # Faces every reader refuses: complex entries (of complex dtype, or Python
 # complex numbers in an object array) on a real or quaternion face, entries
-# that are not numbers on a complex face, and the wrong shape for the face.
+# that are not numbers on a complex face, the wrong shape for the face, and
+# a real face S that is not symmetric, given as any of the three faces.
 _H_QUARTER = gaussian._quaternion_face(np.eye(4) / 4, STANDARD_BASIS).matrix
+_ASYMMETRIC = np.diag([1.0, 2.0, 3.0, 4.0])
+_ASYMMETRIC[0, 1] = 0.9
+_ODD_BASIS = validate_basis(PureUnit(1, 2, 3), PureUnit(3, 0, -1))
 BAD_FACES = {
     "complex R": CovarianceR(np.eye(4) * (1 + 0.5j)),
     "complex H": CovarianceH(_H_QUARTER * (1 + 0.5j)),
@@ -1103,6 +1125,9 @@ BAD_FACES = {
     "R (3,3)": CovarianceR(np.eye(3)),
     "R (5,5)": CovarianceR(np.eye(5)),
     "H (3,3,4)": CovarianceH(_H_QUARTER[:3, :3]),
+    "asymmetric R": CovarianceR(_ASYMMETRIC, _ODD_BASIS),
+    "asymmetric C": gaussian._complex_face(_ASYMMETRIC, _ODD_BASIS),
+    "asymmetric H": gaussian._quaternion_face(_ASYMMETRIC, _ODD_BASIS),
 }
 FACE_READERS = {
     "convert real": lambda cov: convert(cov, "real"),
@@ -1121,6 +1146,23 @@ def test_bad_face_is_one_line_value_error_for_every_reader(face, reader):
     with pytest.raises(ValueError, match="covariance") as info:
         FACE_READERS[reader](BAD_FACES[face])
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_real_face_with_round_off_asymmetry_reads_as_its_symmetric_part():
+    q = double_rotation(rand_quaternion(np.random.default_rng(30)), ONE).matrix
+    g = q @ np.diag([1.0, 2.0, 3.0, 4.0]) @ q.T
+    assert 0.0 < np.abs(g - g.T).max() < 1e-15
+    half = g / 2.0
+    twin = CovarianceR(half + half.T)
+    x = np.random.default_rng(31).normal(size=(5, 4))
+    for read in (lambda cov: convert(cov, "real").matrix,
+                 lambda cov: convert(cov, "complex").matrix,
+                 lambda cov: convert(cov, "quaternion").matrix,
+                 lambda cov: sample(cov, 10, seed=0).data,
+                 lambda cov: gaussian_pdf(x, cov),
+                 lambda cov: np.float64(symmetry_residual(cov, I, J))):
+        assert read(CovarianceR(g)).tobytes() == read(twin).tobytes()
 
 
 @pytest.mark.filterwarnings("error")

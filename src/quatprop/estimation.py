@@ -17,7 +17,7 @@ import numpy as np
 from . import qarray
 from .core import ONE, Quaternion, QuaternionBasis
 from .gaussian import (CovarianceR, MuMuParams, MuOneParams, MuSameParams,
-                       OneMuParams, PropernessTag, _complex_face, _real_face,
+                       OneMuParams, PropernessTag, convert,
                        covariance_from_params, quaternion_face_from_gammas,
                        quaternion_face_map, sample)
 from .rotations import double_rotation, left_matrix, right_matrix, unit_factor
@@ -85,7 +85,7 @@ def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
     """
     s, cc = _moments(qarray.sample_rows(samples, 5), basis, center)
     gh = quaternion_face_from_gammas(cc.sigma2, *cc.gammas, basis)
-    return gh, _complex_face(s, basis), CovarianceR(s, basis)
+    return gh, convert(CovarianceR(s, basis), "complex"), CovarianceR(s, basis)
 
 
 def estimator_consistency(params, n: int, seeds):
@@ -121,7 +121,7 @@ def symmetry_residual(cov: CovarianceR, u: Quaternion, v: Quaternion) -> float:
     A face that _real_face refuses, or whose trace is not positive and
     finite, raises ValueError.
     """
-    g = _real_face(cov)
+    g = convert(cov, "real").matrix
     sigma2 = float(np.trace(g))
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"covariance trace {sigma2:.3e} is not positive and "

@@ -26,6 +26,7 @@ and it is mapped exactly onto the other faces through S.
 import cmath
 import json
 import math
+import operator
 import os
 import stat
 import warnings
@@ -328,14 +329,6 @@ def _basis_maps(frame_bytes: bytes):
     return maps
 
 
-def _symmetric(s: np.ndarray) -> np.ndarray:
-    """(S + S^T) / 2, taken as S/2 + S^T/2 so that it cannot overflow; the
-    two agree bit for bit wherever halving is exact (above the subnormals)
-    and the first does not overflow."""
-    half = s / 2.0
-    return half + half.T
-
-
 _FACES = {CovarianceR: ("real", (4, 4)), CovarianceC: ("complex", (4, 4)),
           CovarianceH: ("quaternion", (4, 4, 4))}
 
@@ -407,7 +400,9 @@ def _checked_face(face: str, m_bytes: bytes, frame_bytes: bytes):
     if asymmetry > tolerance:
         raise ValueError(f"matrix is not a valid {face}-face covariance "
                          f"(its real face is not symmetric: {asymmetry:.3e})")
-    s = _symmetric(s)
+    # S/2 + S^T/2 is (S + S^T)/2 where halving is exact, and cannot overflow
+    half = s / 2.0
+    s = half + half.T
     s.flags.writeable = False
     return s
 
@@ -504,18 +499,16 @@ def _refuse_indefinite(s: np.ndarray, what: str):
 
 
 def covariance_from_params(params) -> CovarianceFaces:
-    """Build all three covariance faces for a symmetry class: the face its
-    chart fixes, the real face S of that face, and the other face from S.
+    """Build all three covariance faces for a symmetry class, each as
+    convert of its chart, the face its parameters fix.
 
     Parameters whose real-face covariance is indefinite (see PSD_FLOOR) are
     rejected, with the most negative eigenvalue reported.
     """
-    given, basis = params.chart(), params.basis
-    gr = _real_face(given)
-    _refuse_indefinite(gr, "parameters give an indefinite covariance")
-    c = given if isinstance(given, CovarianceC) else _complex_face(gr, basis)
-    h = given if isinstance(given, CovarianceH) else _quaternion_face(gr, basis)
-    return CovarianceFaces(c, CovarianceR(gr.copy(), basis), h)
+    chart = params.chart()
+    _refuse_indefinite(_real_face(chart), "parameters give an indefinite covariance")
+    return CovarianceFaces(*(convert(chart, to)
+                             for to in ("complex", "real", "quaternion")))
 
 
 # ---------------------------------------------------------------------------
@@ -540,23 +533,25 @@ class SampleSet:
         return self.data.shape[0]
 
     def metadata_dict(self):
-        meta = {"n": self.n, "seed": self.seed,
+        seed = self.seed if self.seed is None else operator.index(self.seed)
+        meta = {"n": self.n, "seed": seed,
                 "class": self.class_tag, "params": self.params}
         meta["axes"] = _basis_dict(self.basis) if self.basis is not None else None
         return meta
 
     def save(self, csv_path, meta_path=None):
         """Write the draws as a sample CSV and, given meta_path, the metadata
-        as a JSON sidecar. If the sidecar cannot be written, the CSV and any
-        partial sidecar are removed, so no CSV is left without its
-        metadata."""
+        as a strict JSON sidecar (a NaN or infinite value is a ValueError).
+        If the sidecar cannot be written, the CSV and any partial sidecar
+        are removed, so no CSV is left without its metadata."""
         with _removed_on_failure() as created:
             write_sample_csv(csv_path, self.data)
             created.append(csv_path)
             if meta_path is not None:
                 with open(meta_path, "w", encoding="utf-8") as fh:
                     created.append(meta_path)
-                    json.dump(self.metadata_dict(), fh, indent=2, sort_keys=True)
+                    json.dump(self.metadata_dict(), fh, indent=2,
+                              sort_keys=True, allow_nan=False)
                     fh.write("\n")
 
 

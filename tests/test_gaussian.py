@@ -15,7 +15,7 @@ from quatprop import (ONE, I, J, K, CovarianceC, CovarianceH, CovarianceR,
                       convert, covariance_from_params, double_rotation,
                       gaussian_pdf, pdf_1mu_proper, read_sample_csv, sample,
                       validate_basis, write_sample_csv)
-from quatprop import PureUnit, gaussian, symmetry_residual
+from quatprop import PureUnit, covariance_faces, gaussian, symmetry_residual
 from quatprop.gaussian import (SampleSet, quaternion_face_from_gammas,
                                quaternion_face_map, write_column_csvs)
 
@@ -828,6 +828,22 @@ def test_failed_sidecar_leaves_no_csv(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
 
 
+def test_sidecar_with_nan_is_refused_and_leaves_no_file(tmp_path):
+    # the sidecar is strict JSON: NaN is not written as the token NaN
+    draws = SampleSet(np.ones((3, 4)), seed=0, params={"x": float("nan")})
+    with pytest.raises(ValueError, match="JSON"):
+        draws.save(tmp_path / "d.csv", tmp_path / "d.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sidecar_writes_numpy_integer_seed_as_int(tmp_path):
+    draws = sample(CovarianceR(np.eye(4) / 4), 5, seed=np.int64(7))
+    draws.save(tmp_path / "d.csv", tmp_path / "d.json")
+    text = (tmp_path / "d.json").read_text()
+    assert '"seed": 7\n' in text
+    assert type(json.loads(text)["seed"]) is int
+
+
 def test_save_onto_directory_leaves_it_and_writes_no_sidecar(tmp_path):
     (tmp_path / "d.csv").mkdir()
     (tmp_path / "d.csv" / "inside").write_text("kept")
@@ -974,6 +990,34 @@ def test_indefinite_covariance_is_refused_on_every_call():
     misses = gaussian._decomposition.cache_info().misses
     sample(faces.r, 10, seed=0)
     assert gaussian._decomposition.cache_info().misses == misses
+
+
+# --- one rule forms every face: convert ------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_built_faces_are_convert_of_the_chart(seed):
+    basis = rand_basis(np.random.default_rng(seed))
+    for tag, params in all_class_params(basis).items():
+        faces = covariance_from_params(params)
+        for built, to in zip(faces, ("complex", "real", "quaternion")):
+            want = convert(params.chart(), to).matrix
+            # a complex matrix is compared as its (re, im) float pairs
+            assert _same_bits(built.matrix.view(float), want.view(float)), (tag, to)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_estimated_complex_face_is_convert_of_s(seed, center):
+    basis = rand_basis(np.random.default_rng(seed))
+    faces = covariance_from_params(all_class_params(basis)["mumu"])
+    data = sample(faces.r, 200, seed).data + 0.25 * center
+    _, c, r = covariance_faces(data, basis, center=center)
+    x = data - data.mean(axis=0) if center else data
+    s = (x.T @ x) / x.shape[0]
+    assert _same_bits(r.matrix, s)
+    want = convert(CovarianceR(s, basis), "complex").matrix
+    assert _same_bits(c.matrix.view(float), want.view(float))
 
 
 # --- the check of a complex or quaternion face, kept per content -------------

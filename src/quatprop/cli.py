@@ -124,21 +124,30 @@ def _params_from_args(args, basis):
             raise UsageError(f"class {tag.value} does not take --{flag}")
 
     def parse(flag, kind):
-        text, what = getattr(args, flag), f"--{flag}"
+        value = _flag_value(args, flag, kind, tag)
         if kind is Quaternion:
-            return basis.from_coords(_parse_floats(text, 4, what))
-        z = _parse_complex(text, what)
-        if kind is complex:
-            return z
-        if z.imag != 0.0:
-            raise UsageError(f"{what} must be real for class {tag.value}")
-        return z.real
+            return basis.from_coords(value)
+        return complex(*value) if kind is complex else value
 
     values = {flag: parse(flag, kind) for flag, kind in kinds.items()}
     try:
         return cls(**values, basis=basis)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _flag_value(args, flag, kind, tag):
+    """A class flag's value as parsed, in param_dict's JSON form: a float,
+    [re, im], or the 4 basis coordinates as given."""
+    text, what = getattr(args, flag), f"--{flag}"
+    if kind is Quaternion:
+        return _parse_floats(text, 4, what)
+    z = _parse_complex(text, what)
+    if kind is complex:
+        return [z.real, z.imag]
+    if z.imag != 0.0:
+        raise UsageError(f"{what} must be real for class {tag.value}")
+    return z.real
 
 
 def _read_csv(path):
@@ -201,8 +210,13 @@ def cmd_generate(args) -> int:
         faces = covariance_from_params(params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # the flags as parsed, not the model's basis coordinates (on a
+    # non-standard basis they differ in the last bits), so that generate
+    # re-run with the recorded values writes the same draws
+    recorded = {flag: _flag_value(args, flag, kind, params.tag)
+                for flag, kind in params.param_fields()}
     draws = sample(faces.r, args.n, args.seed, class_tag=params.tag.value,
-                   params=params.param_dict())
+                   params=recorded)
     with _writing(out, out.parent):
         draws.save(out, sidecar)
     print(f"wrote {draws.n} draws to {out}", file=sys.stderr)

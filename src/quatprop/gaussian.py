@@ -38,7 +38,7 @@ from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
-from . import qarray
+from . import g17, qarray
 from .core import ATOL, Quaternion, QuaternionBasis, STANDARD_BASIS
 
 # A covariance is indefinite when an eigenvalue is below PSD_FLOOR times
@@ -555,12 +555,9 @@ class SampleSet:
                     fh.write("\n")
 
 
-# Every value of a sample CSV: 17 significant digits, which read back exactly.
-_CSV_VALUE = "%.17g"
-
-# Rows formatted by one string operation in the writer; a fixed block keeps
-# its memory constant in the number of rows.
-_CSV_BLOCK_ROWS = 1024
+# Rows formatted per pass of g17.format_g17 in the writer; a fixed block
+# keeps its memory constant in the number of rows.
+_CSV_BLOCK_ROWS = 256
 
 # Characters on which np.loadtxt and float() agree field by field (the text
 # layer has already turned CR and CRLF into LF). Other text, for instance
@@ -580,13 +577,15 @@ def write_column_csvs(rows: np.ndarray, outputs):
     """Write several CSVs that each hold some of rows' columns. outputs is a
     list of (path, columns, header); each file holds its header line, then
     rows[:, columns] as write_sample_csv writes a sample's values. Each
-    block of rows is formatted once, column-major, whatever files its values
-    go to, so memory does not grow with the number of rows. A row with a nan
-    or inf raises ValueError naming the 1-based line it would land on (the
-    header is line 1) before any file is opened; that scan too runs a block
-    of rows at a time. Every file is opened, in the order given, before any
-    row is written; if anything fails, the regular files opened here are
-    removed, so none is left holding only some of its rows."""
+    block of _CSV_BLOCK_ROWS rows is formatted once, by g17.format_g17,
+    whatever files its values go to, so memory does not grow with the
+    number of rows; each file takes its columns' texts from the block. A
+    row with a nan or inf raises ValueError naming the 1-based line it
+    would land on (the header is line 1) before any file is opened; that
+    scan too runs a block of rows at a time. Every file is opened, in the
+    order given, before any row is written; if anything fails, the regular
+    files opened here are removed, so none is left holding only some of its
+    rows."""
     rows = np.asarray(rows, dtype=float)
     n, m = rows.shape
     for span in qarray.row_blocks(n):
@@ -598,26 +597,22 @@ def write_column_csvs(rows: np.ndarray, outputs):
     with _removed_on_failure() as created, ExitStack() as stack:
         files = []
         for path, columns, header in outputs:
-            fh = stack.enter_context(open(path, "w", encoding="utf-8",
-                                          newline=""))
+            fh = stack.enter_context(open(path, "wb"))
             created.append(path)
-            fh.write(header + "\n")
+            fh.write(header.encode("utf-8") + b"\n")
             files.append((fh, list(columns)))
         for span in qarray.row_blocks(n, _CSV_BLOCK_ROWS):
-            block = rows[span]
-            k = block.shape[0]
-            # column-major, so each column's k strings are one slice
-            values = (((_CSV_VALUE + "\n") * (k * m))
-                      % tuple(block.T.ravel().tolist())).split("\n")
-            by_column = [values[j * k:(j + 1) * k] for j in range(m)]
+            k = span.stop - span.start
+            text = g17.format_g17(rows[span]).reshape(k, m, g17.WIDTH)
             for fh, columns in files:
-                # each value, then its "," or "\n"; no columns: "\n" alone
-                step = 2 * len(columns) or 1
-                parts = [","] * (k * step)
-                for i, j in enumerate(columns):
-                    parts[2 * i::step] = by_column[j]
-                parts[step - 1::step] = ["\n"] * k
-                fh.write("".join(parts))
+                if not columns:
+                    fh.write(b"\n" * k)
+                    continue
+                # each value's text, then its "," or "\n", less the padding
+                line = text.take(columns, axis=1)
+                line[:, :, -1] = ord(",")
+                line[:, -1, -1] = ord("\n")
+                fh.write(line[line != 0].tobytes())
 
 
 @contextmanager

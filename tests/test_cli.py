@@ -341,6 +341,26 @@ def test_generate_classify_round_trip_recovers_class(tag, tmp_path, capsys):
         assert report["chosen"]["class"] == tag, (tag, seed, report["chosen"])
 
 
+@pytest.mark.parametrize("axes", [[], ["--mu1", "1,2,3", "--mu2", "3,0,-1"]],
+                         ids=["standard", "mu1_123"])
+@pytest.mark.parametrize("tag", sorted(CLASS_FLAGS))
+def test_generate_sidecar_params_rerun_to_the_same_draws(tag, axes, tmp_path):
+    # the sidecar's params, given back as flags, are the run's own flags:
+    # the re-run writes the same CSV byte for byte and the same sidecar
+    def generate(out, flags):
+        argv = ["generate", "--class", tag, "--n", "200", "--seed", "3",
+                "--out", str(out), *axes]
+        return run_cli(*argv, *(f"--{flag}={val}" for flag, val in flags.items()))
+
+    assert generate(tmp_path / "a.csv", CLASS_FLAGS[tag]) == 0
+    params = json.loads((tmp_path / "a.json").read_text())["params"]
+    flags = {flag: ",".join(map(repr, value)) if isinstance(value, list)
+             else repr(value) for flag, value in params.items()}
+    assert generate(tmp_path / "b.csv", flags) == 0
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+    assert json.loads((tmp_path / "b.json").read_text())["params"] == params
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "draws.csv"
     proc = subprocess.run(

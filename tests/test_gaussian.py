@@ -663,6 +663,26 @@ def test_column_csvs_match_reference_on_any_layout(tmp_path_factory, n, layout,
         assert path.read_bytes() == (d / "ref.csv").read_bytes(), (cols, n)
 
 
+@pytest.mark.parametrize("n", [gaussian._CSV_BLOCK_ROWS, gaussian._CSV_BLOCK_ROWS + 1])
+def test_column_csvs_do_not_depend_on_layout_or_dtype(n, tmp_path):
+    # each file equals the reference writer's of the same float64 values,
+    # whatever the memory order, strides or dtype of the array given
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-30, 30, size=(n, 4))
+    arrays = {"fortran": np.asfortranarray(x), "reversed": x[::-1, ::-1],
+              "float32": x.astype(np.float32),
+              "int": rng.integers(-2**62, 2**62, size=(n, 4)),
+              "int32": rng.integers(-2**31, 2**31, size=(n, 4), dtype=np.int32)}
+    for name, rows in arrays.items():
+        outputs = [(tmp_path / f"{name}.csv", range(4), "a,b,c,d"),
+                   (tmp_path / f"{name}_31.csv", (3, 1), "im_k,im_i")]
+        write_column_csvs(rows, outputs)
+        values = np.asarray(rows, dtype=np.float64)
+        for path, cols, header in outputs:
+            write_sample_csv_reference(tmp_path / "ref.csv", values[:, cols], header)
+            assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sample_csv_writer_refuses_non_finite_values(bad, tmp_path):
     # the reader rejects nan and inf, so a file holding one would not read

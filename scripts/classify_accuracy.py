@@ -7,7 +7,7 @@ compared). It does so on the standard basis and, separately, on one random
 basis per seed (drawn from numpy's generator seeded by that seed), and
 prints a Markdown table of the counts.
 
-The instances are those of ROADMAP item 2: MuMuParams(2, 0.3+0.1i, 0.2),
+The instances are those of ROADMAP item 1: MuMuParams(2, 0.3+0.1i, 0.2),
 MuSameParams(1, 1.5, 0.2+0.1i, -0.1+0.3i), MuOneParams and
 OneMuParams(0.6, 0.4, 0.1+0.05i) and HProperParams(2).
 

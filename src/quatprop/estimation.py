@@ -18,8 +18,7 @@ from . import qarray
 from .core import ONE, Quaternion, QuaternionBasis
 from .gaussian import (CovarianceR, MuMuParams, MuOneParams, MuSameParams,
                        OneMuParams, PropernessTag, convert,
-                       covariance_from_params, quaternion_face_from_gammas,
-                       quaternion_face_map, sample)
+                       covariance_from_params, quaternion_face_map, sample)
 from .rotations import double_rotation, left_matrix, right_matrix, unit_factor
 
 
@@ -79,13 +78,12 @@ def complementary_covariances(samples, basis: QuaternionBasis,
 def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
     """Reconstruct (quaternion, complex, real) covariance faces from samples.
 
-    All three come from the second moment S: the real face is S itself, the
-    quaternion face is assembled from sigma2 and gamma1..3 of S, and the
-    complex face is the fixed linear map of S (see convert).
+    All three come from the second moment S: the real face is S itself and
+    the other two are convert of it, the one former of every face.
     """
-    s, cc = _moments(qarray.sample_rows(samples, 5), basis, center)
-    gh = quaternion_face_from_gammas(cc.sigma2, *cc.gammas, basis)
-    return gh, convert(CovarianceR(s, basis), "complex"), CovarianceR(s, basis)
+    r = CovarianceR(_moments(qarray.sample_rows(samples, 5), basis, center)[0],
+                    basis)
+    return convert(r, "quaternion"), convert(r, "complex"), r
 
 
 def estimator_consistency(params, n: int, seeds):

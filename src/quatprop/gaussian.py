@@ -413,8 +413,9 @@ def _complex_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceC:
 
 
 def _quaternion_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceH:
-    K = quaternion_face_map(basis)
-    return CovarianceH(np.einsum("ab,rsabc->rsc", s, K), basis)
+    h = np.einsum("ab,rsabc->rsc", s, quaternion_face_map(basis))
+    h.reshape(16, 4)[::5] = (np.trace(s), 0.0, 0.0, 0.0)  # see convert
+    return CovarianceH(h, basis)
 
 
 def convert(cov, to: str):
@@ -422,7 +423,8 @@ def convert(cov, to: str):
 
     Every face given is checked as _real_face checks it, whatever the
     target: a bad face raises ValueError. "real" gives a fresh copy of the
-    symmetric S, and another face asked for its own face is returned as is.
+    symmetric S, another face asked for its own face is returned as is, and
+    a quaternion face formed has each diagonal entry exactly (tr S, 0, 0, 0).
     """
     if to not in ("real", "complex", "quaternion"):
         raise ValueError(f"unknown face {to!r}")
@@ -437,13 +439,13 @@ def convert(cov, to: str):
 def quaternion_face_from_gammas(sigma2: float, gamma1: Quaternion,
                                 gamma2: Quaternion, gamma3: Quaternion,
                                 basis: QuaternionBasis) -> CovarianceH:
-    """Fill the quaternion face from its first row (sigma2, gamma1..3).
+    """Fill the quaternion face from its first row (sigma2, gamma1..3): the
+    general class's chart; convert forms every other quaternion face from S.
 
     The rest follows from one rule: entry (r, s) above the diagonal is
     gamma_{r xor s} involved about mu_r (as is, for r = 0), e.g. entry (2,3)
     is gamma1 involved about mu2; the diagonal is sigma2 and each entry below
-    it is the conjugate of its mirror. These identities hold sample-wise, so
-    the same template serves exact construction and estimation.
+    it is the conjugate of its mirror.
     """
     row = (Quaternion(sigma2, 0.0, 0.0, 0.0), gamma1, gamma2, gamma3)
     mat = [[row[0]] * 4 for _ in range(4)]

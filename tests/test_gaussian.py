@@ -15,7 +15,8 @@ from quatprop import (ONE, I, J, K, CovarianceC, CovarianceH, CovarianceR,
                       convert, covariance_from_params, double_rotation,
                       gaussian_pdf, pdf_1mu_proper, read_sample_csv, sample,
                       validate_basis, write_sample_csv)
-from quatprop import PureUnit, covariance_faces, gaussian, symmetry_residual
+from quatprop import (PureUnit, complementary_covariances, covariance_faces,
+                      gaussian, symmetry_residual)
 from quatprop.gaussian import (SampleSet, quaternion_face_from_gammas,
                                quaternion_face_map, write_column_csvs)
 
@@ -1038,6 +1039,47 @@ def test_estimated_complex_face_is_convert_of_s(seed, center):
     assert _same_bits(r.matrix, s)
     want = convert(CovarianceR(s, basis), "complex").matrix
     assert _same_bits(c.matrix.view(float), want.view(float))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_estimated_quaternion_face_is_convert_of_s(seed, center):
+    basis = rand_basis(np.random.default_rng(seed))
+    faces = covariance_from_params(all_class_params(basis)["mumu"])
+    data = sample(faces.r, 200, seed).data + 0.25 * center
+    h, _, _ = covariance_faces(data, basis, center=center)
+    x = data - data.mean(axis=0) if center else data
+    s = (x.T @ x) / x.shape[0]
+    want = convert(CovarianceR(s, basis), "quaternion").matrix
+    assert _same_bits(h.matrix, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_converted_quaternion_face_diagonal_is_trace_exactly(seed):
+    # E|q^mu|^2 = sigma2 for every involution, so each diagonal entry of a
+    # quaternion face formed from S is (tr S, 0, 0, 0), whatever the source
+    rng = np.random.default_rng(seed)
+    basis = rand_basis(rng)
+    real = _random_cov_r(rng, basis)
+    formed = [(cov, convert(cov, "quaternion"))
+              for cov in (real, convert(real, "complex"))]
+    for tag, params in all_class_params(basis).items():
+        if tag != "general":  # the one class whose chart is a quaternion face
+            faces = covariance_from_params(params)
+            formed.append((faces.c, faces.h))
+    for source, face in formed:
+        s = convert(source, "real").matrix
+        h = face.matrix
+        want = np.array([np.trace(s), 0.0, 0.0, 0.0])
+        for i in range(4):
+            assert _same_bits(h[i, i], want), (type(source).__name__, i)
+        # the estimators' gammas are row 0 of the face of the draws' S
+        data = sample(source, 200, seed).data
+        x_s = (data.T @ data) / data.shape[0]
+        row = convert(CovarianceR(x_s, basis), "quaternion").matrix[0, 1:]
+        gammas = complementary_covariances(data, basis).gammas
+        assert _same_bits(np.array([g.to_vec() for g in gammas]), row)
 
 
 # --- the check of a complex or quaternion face, kept per content -------------

@@ -3,8 +3,9 @@ reconstruction, and classification of the symmetry class via rotation
 residuals of the sample covariance.
 
 Every estimate is a fixed linear function of one statistic, the 4x4 second
-moment S = X^T X / n of the component rows: sigma2 = tr S and
-gamma_r = sum_ab S_ab e_a (e_b^mu_r)*, with e_a the standard units.
+moment S = X^T X / n of the component rows. Its quaternion face H, formed
+once per call by gaussian._quaternion_face, holds the complementary
+covariances in row 0: sigma2 = H[0, 0, 0] = tr S and gamma_r = H[0, r].
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from . import qarray
 from .core import ONE, Quaternion, QuaternionBasis
 from .gaussian import (CovarianceR, MuMuParams, MuOneParams, MuSameParams,
-                       OneMuParams, PropernessTag, convert,
-                       covariance_from_params, quaternion_face_map, sample)
+                       OneMuParams, PropernessTag, _quaternion_face,
+                       convert, covariance_from_params, sample)
 from .rotations import double_rotation, left_matrix, right_matrix, unit_factor
 
 
@@ -37,53 +38,50 @@ class ComplementaryCovariances:
     def gammas(self):
         return (self.gamma1, self.gamma2, self.gamma3)
 
+    @classmethod
+    def of_face(cls, h, n: int) -> ComplementaryCovariances:
+        """Row 0 of the quaternion face h of an n-sample second moment."""
+        return cls(float(h.matrix[0, 0, 0]), h.entry(0, 1), h.entry(0, 2),
+                   h.entry(0, 3), h.basis, n)
+
 
 @np.errstate(over="ignore", invalid="ignore")
 def _moments(x: np.ndarray, basis: QuaternionBasis, center: bool):
-    """The second moment S = X^T X / n of the (optionally mean-centred) rows,
-    and sigma2 = tr S, gamma_r = sum_ab S_ab e_a (e_b^mu_r)* derived from it.
-
-    The coefficients e_a (e_b^mu_r)* are row 0 of the quaternion-face map.
-    The component of gamma_r along mu_r has an antisymmetric coefficient
-    matrix, so it cancels against the symmetric S up to roundoff. Huge
-    sample values raise ValueError, not numpy warnings, when they make S,
-    sigma2 or a gamma infinite.
+    """The second moment S = X^T X / n of the (optionally mean-centred) rows
+    as a CovarianceR, and its quaternion face, formed from S directly once S
+    is finite (S is symmetric by construction). Huge sample values raise
+    ValueError, not numpy warnings, when they make S or the face infinite.
     """
     n = x.shape[0]
     if center:
         x = x - x.mean(axis=0)
     s = (x.T @ x) / n
-    gammas = np.einsum("ab,rabc->rc", s, quaternion_face_map(basis)[0, 1:])
-    sigma2 = float(np.trace(s))
-    if not (np.isfinite(s).all() and math.isfinite(sigma2)
-            and np.isfinite(gammas).all()):
+    if not (np.isfinite(s).all()
+            and np.isfinite((h := _quaternion_face(s, basis)).matrix).all()):
         raise ValueError("second moments are not finite: sample values too large")
-    cc = ComplementaryCovariances(sigma2,
-                                  *(Quaternion.from_vec(g) for g in gammas),
-                                  basis, n)
-    return s, cc
+    return CovarianceR(s, basis), h
 
 
 def complementary_covariances(samples, basis: QuaternionBasis,
                               center: bool = False) -> ComplementaryCovariances:
-    """Estimate the complementary covariances of a sample from its second
-    moment S (see the module docstring).
+    """Estimate the complementary covariances of a sample: row 0 of the
+    quaternion face of its second moment S (see the module docstring).
 
     Variables are treated as centred by construction; pass center=True to
     subtract the sample mean first (real data).
     """
-    return _moments(qarray.sample_rows(samples, 2), basis, center)[1]
+    x = qarray.sample_rows(samples, 2)
+    return ComplementaryCovariances.of_face(_moments(x, basis, center)[1], len(x))
 
 
 def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
     """Reconstruct (quaternion, complex, real) covariance faces from samples.
 
-    All three come from the second moment S: the real face is S itself and
-    the other two are convert of it, the one former of every face.
+    All three come from the second moment S: the real face is S, the
+    quaternion face the one _moments forms, and the complex face convert of S.
     """
-    r = CovarianceR(_moments(qarray.sample_rows(samples, 5), basis, center)[0],
-                    basis)
-    return convert(r, "quaternion"), convert(r, "complex"), r
+    r, h = _moments(qarray.sample_rows(samples, 5), basis, center)
+    return h, convert(r, "complex"), r
 
 
 def estimator_consistency(params, n: int, seeds):
@@ -234,7 +232,8 @@ def classify(samples, basis: QuaternionBasis, c: float = 5.0,
         raise ValueError(f"c must be positive and finite, got {c!r}")
     x = qarray.sample_rows(samples, 100, " to classify")
     n = x.shape[0]
-    s, cc = _moments(x, basis, center)
+    r, h = _moments(x, basis, center)
+    s, cc = r.matrix, ComplementaryCovariances.of_face(h, n)
     if cc.sigma2 <= 0.0:
         raise ValueError("degenerate covariance: zero total variance")
     tol = c / math.sqrt(n)

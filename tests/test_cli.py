@@ -599,6 +599,10 @@ def test_out_ending_in_a_separator_is_usage_error(command, tmp_path, capsys):
      "usage error: --u must be a unit quaternion"),
     (["rotate", "--u", "1,0,0,0", "--v", "1,0", "--out", "r.csv"],
      "usage error: --v needs 4"),
+    (["classify", "--mu1", "0,0,0"],
+     "usage error: --mu1: axis vector norm 0.000e+00 is below"),
+    (["classify", "--mu2", "1e200,1e200,0"],
+     "usage error: --mu2: axis vector norm inf is not finite"),
 ])
 def test_bad_flag_is_reported_before_the_input_is_read(argv, message, tmp_path,
                                                        monkeypatch, capsys):

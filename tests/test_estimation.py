@@ -123,8 +123,8 @@ def test_estimated_quaternion_face_diagonal_is_sigma2_exactly():
 
 
 def test_assembled_face_agrees_with_converted_sample_covariance():
-    # the template assembly and the change of representation of the plain
-    # sample covariance are algebraically identical
+    # the estimated quaternion face and convert of the estimated real face S
+    # are formed from the same S by the same map
     rng = np.random.default_rng(7)
     data = rng.normal(size=(2000, 4)) @ np.diag([1.0, 0.5, 1.5, 0.8])
     for basis in (STANDARD_BASIS, rand_basis(rng)):
@@ -165,6 +165,43 @@ def test_estimators_reject_overflowing_samples(estimator):
     data[17, 2] = 1e200
     with pytest.raises(ValueError, match="second moments are not finite"):
         estimator(data, STANDARD_BASIS)
+
+
+# S = X^T X / 2 is finite (8.1e307 per entry), but its trace overflows
+@pytest.mark.filterwarnings("error")
+def test_complementary_covariances_reject_an_overflowing_trace():
+    data = np.full((2, 4), 9e153)
+    assert np.isfinite(data.T @ data).all()
+    with pytest.raises(ValueError, match="second moments are not finite"):
+        complementary_covariances(data, STANDARD_BASIS)
+
+
+def _row_bits(cc):
+    """The bytes of (sigma2, 0, 0, 0), gamma1, gamma2, gamma3 as a (4, 4)
+    float array: row 0 of a quaternion face."""
+    rows = [(cc.sigma2, 0.0, 0.0, 0.0), *(g.to_vec() for g in cc.gammas)]
+    return np.array(rows, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_every_reader_takes_sigma2_and_gammas_off_row_0_of_the_face(seed, center):
+    # classify's complementary covariances, complementary_covariances and
+    # row 0 of covariance_faces' quaternion face H agree bit for bit, and
+    # the hproper residual is max_r |H[0, r]| / H[0, 0, 0]
+    rng = np.random.default_rng(seed)
+    basis = STANDARD_BASIS if seed % 4 == 0 else rand_basis(rng)
+    n = int(rng.integers(100, 1000))
+    data = rng.normal(size=(n, 4)) @ rng.normal(size=(4, 4)) + rng.normal(size=4)
+    report = classify(data, basis, center=center)
+    cc = complementary_covariances(data, basis, center=center)
+    row = covariance_faces(data, basis, center=center)[0].matrix[0]
+    assert _row_bits(report.complementary) == _row_bits(cc) == row.tobytes()
+    assert (report.complementary.n, cc.n) == (n, n)
+    hproper = report.candidates[0]
+    assert hproper.tag is PropernessTag.H_PROPER
+    want = max(Quaternion.from_vec(q).modulus() for q in row[1:]) / row[0, 0]
+    assert hproper.residual == want
 
 
 # --- symmetry residual -------------------------------------------------------

@@ -201,6 +201,14 @@ def test_quaternion_face_template_matches_conversion():
         assert np.max(np.abs(rebuilt.matrix - gh.matrix)) <= 1e-12
 
 
+def test_convert_refuses_an_unknown_face_and_a_non_face():
+    cov = covariance_from_params(HProperParams(1.0)).r
+    with pytest.raises(ValueError, match="^unknown face 'bogus'$"):
+        convert(cov, "bogus")
+    with pytest.raises(TypeError, match="^not a covariance face: ndarray$"):
+        convert(np.eye(4), "real")
+
+
 def test_convert_rejects_invalid_complex_face():
     # (2,2) must duplicate (1,1): both are E[|z1|^2]. Breaking that cannot
     # come from any real variable, and the conversion must notice.
@@ -455,6 +463,12 @@ def test_sample_covariance_converges():
     draws = sample(faces.r, 200_000, seed=9)
     est = draws.data.T @ draws.data / draws.n
     assert np.max(np.abs(est - faces.r.matrix)) < 0.02
+
+
+def test_sample_needs_at_least_one_draw():
+    cov = covariance_from_params(HProperParams(1.0)).r
+    with pytest.raises(ValueError, match="^need at least one draw$"):
+        sample(cov, 0, seed=0)
 
 
 def test_sample_rejects_indefinite():

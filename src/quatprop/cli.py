@@ -28,7 +28,6 @@ from .rotations import double_rotation
 
 DEFAULT_N = 50_000
 DEFAULT_SEED = 42
-DEFAULT_C = 5.0
 
 
 class UsageError(Exception):
@@ -110,9 +109,10 @@ _PARAM_FLAG_HELP = _param_flag_help()
 
 
 def _params_from_args(args, basis):
-    """The class's *Params from its flags: one flag per field, parsed by the
-    field's type (float: re[,0]; complex: re[,im]; Quaternion: 4 basis
-    coordinates)."""
+    """The class's *Params and the flag values it was built from, one flag
+    per field, each parsed once by _flag_value: a float as is, a complex from
+    [re, im], a Quaternion from its basis coordinates. generate's sidecar
+    records the values, so generate re-run with them writes the same draws."""
     tag = PropernessTag(args.class_tag)
     cls = next(c for c in ClassParams if c.tag is tag)
     kinds = dict(cls.param_fields())
@@ -122,23 +122,20 @@ def _params_from_args(args, basis):
             raise UsageError(f"class {tag.value} requires --{flag}")
         if flag not in kinds and value is not None:
             raise UsageError(f"class {tag.value} does not take --{flag}")
-
-    def parse(flag, kind):
-        value = _flag_value(args, flag, kind, tag)
-        if kind is Quaternion:
-            return basis.from_coords(value)
-        return complex(*value) if kind is complex else value
-
-    values = {flag: parse(flag, kind) for flag, kind in kinds.items()}
+    parsed = {flag: _flag_value(args, flag, kind, tag)
+              for flag, kind in kinds.items()}
+    build = {float: float, complex: lambda v: complex(*v),
+             Quaternion: basis.from_coords}
     try:
-        return cls(**values, basis=basis)
+        return cls(**{flag: build[kinds[flag]](value)
+                      for flag, value in parsed.items()}, basis=basis), parsed
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _flag_value(args, flag, kind, tag):
-    """A class flag's value as parsed, in param_dict's JSON form: a float,
-    [re, im], or the 4 basis coordinates as given."""
+    """A class flag's value, parsed once for _params_from_args, in
+    param_dict's JSON form: a float, [re, im], or the 4 basis coordinates."""
     text, what = getattr(args, flag), f"--{flag}"
     if kind is Quaternion:
         return _parse_floats(text, 4, what)
@@ -205,16 +202,11 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--out {args.out!r} is also the path of its .json "
                          "metadata sidecar; give it another suffix")
     basis = _basis_from_args(args)
-    params = _params_from_args(args, basis)
+    params, recorded = _params_from_args(args, basis)
     try:
         faces = covariance_from_params(params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    # the flags as parsed, not the model's basis coordinates (on a
-    # non-standard basis they differ in the last bits), so that generate
-    # re-run with the recorded values writes the same draws
-    recorded = {flag: _flag_value(args, flag, kind, params.tag)
-                for flag, kind in params.param_fields()}
     draws = sample(faces.r, args.n, args.seed, class_tag=params.tag.value,
                    params=recorded)
     with _writing(out, out.parent):
@@ -264,6 +256,10 @@ def cmd_rotate(args) -> int:
     u = _parse_unit_quaternion(args.u, "--u")
     v = _parse_unit_quaternion(args.v, "--v")
     out = _out_file(args.out)
+    paths = (args.input, out)
+    if all(map(os.path.exists, paths)) and os.path.samefile(*paths):
+        raise UsageError(f"--out {args.out!r} is the input file; "
+                         "give it another path")
     data = _read_csv(args.input)
     with np.errstate(over="ignore", invalid="ignore"):  # the writer refuses inf/nan
         rotated = double_rotation(u, v).apply_rows(data)
@@ -299,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     cls = sub.add_parser("classify", help="classify a sample CSV")
     cls.add_argument("input", help="CSV with header a,b,c,d")
     add_basis_flags(cls)
-    cls.add_argument("--c", type=float, default=DEFAULT_C,
+    cls.add_argument("--c", type=float, default=estimation.DEFAULT_C,
                      help="tolerance constant; threshold is c/sqrt(n)")
     cls.add_argument("--center", action="store_true",
                      help="subtract the sample mean first")

@@ -213,9 +213,11 @@ _CANDIDATES = tuple(
     for cls in classes for uv in cls.rotations)
 _ROTATION_U, _ROTATION_V = np.array([row[3] for row in _CANDIDATES]).T
 
+DEFAULT_C = 5.0
+
 
 @np.errstate(over="ignore", invalid="ignore")
-def classify(samples, basis: QuaternionBasis, c: float = 5.0,
+def classify(samples, basis: QuaternionBasis, c: float = DEFAULT_C,
              center: bool = False) -> PropernessReport:
     """Classify the symmetry class of a sample at tolerance c/sqrt(n), by
     the tier policy stated at _TIERS.

@@ -372,6 +372,15 @@ def test_console_entry_point(tmp_path):
     assert proc.stdout == ""
 
 
+def test_console_entry_point_exits_with_the_usage_error_code():
+    proc = subprocess.run([sys.executable, "-m", "quatprop.cli", "classify"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 # --- class-parameter flags against the hand-written reference rule ---------
 
 GOOD_VALUES = {"sigma2": "1", "varsigma2": "2", "alpha": "0.3,0.1",
@@ -397,7 +406,7 @@ def _params_outcome(tag, flags, basis):
     args = Namespace(class_tag=tag,
                      **{flag: flags.get(flag) for flag in PARAM_FLAG_ORDER})
     try:
-        return cli._params_from_args(args, basis).param_dict()
+        return cli._params_from_args(args, basis)[0].param_dict()
     except cli.UsageError as exc:
         return str(exc)
 
@@ -570,6 +579,44 @@ def test_generate_out_without_a_file_name_is_usage_error(capsys):
     assert run_cli(*gen_args("/", n="5")) == 1
     captured = capsys.readouterr()
     assert captured.err == "usage error: --out must name a file, got '/'\n"
+
+
+@pytest.mark.parametrize("link", ["same", "relative", "symlink", "hardlink"])
+def test_rotate_out_that_is_its_input_is_usage_error(link, tmp_path,
+                                                     monkeypatch, capsys):
+    # refused before the input is read, so the writer never opens it: an
+    # interrupted write onto the input would otherwise remove it
+    src = tmp_path / "draws.csv"
+    assert run_cli(*gen_args(src, n="5")) == 0
+    before = src.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    out = {"same": str(src), "relative": "draws.csv",
+           "symlink": str(tmp_path / "alias.csv"),
+           "hardlink": str(tmp_path / "twin.csv")}[link]
+    if link == "symlink":
+        (tmp_path / "alias.csv").symlink_to(src)
+    if link == "hardlink":
+        (tmp_path / "twin.csv").hardlink_to(src)
+    listing = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "read_sample_csv",
+                        lambda path: pytest.fail(f"read {path}"))
+    capsys.readouterr()
+    assert run_cli("rotate", str(src), "--u", "0,1,0,0", "--v", "1,0,0,0",
+                   "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"usage error: --out {out!r} is the input file; "
+                            "give it another path\n")
+    assert sorted(tmp_path.iterdir()) == listing
+    assert src.read_bytes() == before
+
+
+def test_rotate_onto_a_missing_input_is_a_read_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert run_cli("rotate", missing, "--u", "1,0,0,0", "--v", "1,0,0,0",
+                   "--out", missing) == 2
+    assert capsys.readouterr().err.startswith(f"data error: cannot read {missing}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["generate", "rotate"])

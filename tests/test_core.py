@@ -66,6 +66,28 @@ def test_conj_modulus_inverse():
     assert I.inverse() == -I
 
 
+def test_from_vec_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match=re.escape(
+            "expected a length-4 component vector, got shape (3,)")):
+        Quaternion.from_vec([1, 2, 3])
+
+
+def test_scalar_products_and_quotients():
+    q = Quaternion(1, -2, 3, 0.5)
+    assert 2 * q == q * 2 == Quaternion(2, -4, 6, 1)
+    assert q / 2 == Quaternion(0.5, -1, 1.5, 0.25)
+    for bad in (lambda: q * "x", lambda: q / "x", lambda: None * q):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_equality_is_componentwise_across_subclasses():
+    assert (Quaternion(1, 0, 0, 0) == 1) is False
+    axis, plain = PureUnit(1, 0, 0), Quaternion(0, 1, 0, 0)
+    assert axis == plain and hash(axis) == hash(plain)
+    assert len({axis, plain}) == 1
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Quaternion(0, 0, 0, 0).inverse()

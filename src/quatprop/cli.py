@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -224,9 +225,15 @@ def cmd_classify(args) -> int:
         report = estimation.classify(data, basis, c=args.c, center=args.center)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True,
-              allow_nan=False)
-    sys.stdout.write("\n")
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True,
+                      allow_nan=False)
+    try:  # one write, flushed, so a full or closed stdout is one data error
+        if sys.stdout is None:  # the process started with stdout closed
+            raise OSError(errno.EBADF, "stdout is closed")
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        raise DataError(f"cannot write <stdout>: {exc}") from None
     return 0
 
 

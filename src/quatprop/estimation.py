@@ -18,8 +18,9 @@ import numpy as np
 from . import qarray
 from .core import ONE, Quaternion, QuaternionBasis
 from .gaussian import (CovarianceR, MuMuParams, MuOneParams, MuSameParams,
-                       OneMuParams, PropernessTag, _quaternion_face,
-                       convert, covariance_from_params, sample)
+                       OneMuParams, PropernessTag, SampleSet,
+                       _quaternion_face, convert, covariance_from_params,
+                       sample)
 from .rotations import double_rotation, left_matrix, right_matrix, unit_factor
 
 
@@ -46,20 +47,42 @@ class ComplementaryCovariances:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _moments(x: np.ndarray, basis: QuaternionBasis, center: bool):
-    """The second moment S = X^T X / n of the (optionally mean-centred) rows
-    as a CovarianceR, and its quaternion face, formed from S directly once S
-    is finite (S is symmetric by construction). Huge sample values raise
-    ValueError, not numpy warnings, when they make S or the face infinite.
+def _moments(samples, basis: QuaternionBasis, center: bool, least: int,
+             purpose: str = ""):
+    """n, the second moment S = X^T X / n of the (optionally mean-centred)
+    rows as a CovarianceR, and its quaternion face, formed from S directly
+    once S is finite (S is symmetric by construction). A SampleSet's X^T X
+    is formed once and shared by every call (SampleSet._gram); the centred
+    one is summed over row blocks, with no centred copy of X. Huge sample
+    values raise ValueError, not numpy warnings, when they make S or the
+    face infinite.
     """
+    x = qarray.sample_rows(samples, least, purpose)
     n = x.shape[0]
     if center:
-        x = x - x.mean(axis=0)
-    s = (x.T @ x) / n
+        gram = _centred_gram(x)
+    elif isinstance(samples, SampleSet):
+        gram = samples._gram
+    else:
+        gram = x.T @ x
+    s = gram / n
     if not (np.isfinite(s).all()
             and np.isfinite((h := _quaternion_face(s, basis)).matrix).all()):
         raise ValueError("second moments are not finite: sample values too large")
-    return CovarianceR(s, basis), h
+    return n, CovarianceR(s, basis), h
+
+
+def _centred_gram(x: np.ndarray) -> np.ndarray:
+    """(X - mean)^T (X - mean), summed over qarray.row_blocks from the first
+    block's product, each block centred into one reused buffer. One block
+    (n <= 8193) is the one-shot product of the centred copy, bit for bit,
+    signed zeros included."""
+    mean, gram = x.mean(axis=0), None
+    buffer = np.empty((min(len(x), qarray.ROW_BLOCK + 1), 4))
+    for span in qarray.row_blocks(len(x)):
+        d = np.subtract(x[span], mean, out=buffer[:span.stop - span.start])
+        gram = d.T @ d if gram is None else gram + d.T @ d
+    return gram
 
 
 def complementary_covariances(samples, basis: QuaternionBasis,
@@ -70,8 +93,8 @@ def complementary_covariances(samples, basis: QuaternionBasis,
     Variables are treated as centred by construction; pass center=True to
     subtract the sample mean first (real data).
     """
-    x = qarray.sample_rows(samples, 2)
-    return ComplementaryCovariances.of_face(_moments(x, basis, center)[1], len(x))
+    n, _, h = _moments(samples, basis, center, 2)
+    return ComplementaryCovariances.of_face(h, n)
 
 
 def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
@@ -80,7 +103,7 @@ def covariance_faces(samples, basis: QuaternionBasis, center: bool = False):
     All three come from the second moment S: the real face is S, the
     quaternion face the one _moments forms, and the complex face convert of S.
     """
-    r, h = _moments(qarray.sample_rows(samples, 5), basis, center)
+    _, r, h = _moments(samples, basis, center, 5)
     return h, convert(r, "complex"), r
 
 
@@ -232,9 +255,7 @@ def classify(samples, basis: QuaternionBasis, c: float = DEFAULT_C,
     """
     if not math.isfinite(c) or c <= 0.0:
         raise ValueError(f"c must be positive and finite, got {c!r}")
-    x = qarray.sample_rows(samples, 100, " to classify")
-    n = x.shape[0]
-    r, h = _moments(x, basis, center)
+    n, r, h = _moments(samples, basis, center, 100, " to classify")
     s, cc = r.matrix, ComplementaryCovariances.of_face(h, n)
     if cc.sigma2 <= 0.0:
         raise ValueError("degenerate covariance: zero total variance")

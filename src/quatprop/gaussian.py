@@ -33,7 +33,7 @@ import warnings
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
@@ -519,7 +519,14 @@ def covariance_from_params(params) -> CovarianceFaces:
 @dataclass(frozen=True)
 class SampleSet:
     """Draws of a quaternion variable, one (a, b, c, d) row per draw, plus
-    the metadata of the generator that produced them."""
+    the metadata of the generator that produced them.
+
+    The rows are read-only. Rows the caller could still write (a writeable
+    array, or any view) are copied first; read-only rows that own their
+    memory, such as sample's, are kept as they are. So the second moment
+    X^T X, formed on first use, holds for the rows for good, and every
+    estimator given this SampleSet shares it.
+    """
 
     data: np.ndarray
     seed: int
@@ -528,7 +535,18 @@ class SampleSet:
     params: Optional[dict] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "data", qarray.sample_rows(self.data))
+        rows = qarray.sample_rows(self.data)
+        if rows.flags.writeable or rows.base is not None:  # a view is copied
+            rows = rows.copy()
+            rows.flags.writeable = False
+        object.__setattr__(self, "data", rows)
+
+    @cached_property
+    def _gram(self):
+        """X^T X of the rows, formed at most once (estimation._moments)."""
+        gram = self.data.T @ self.data
+        gram.flags.writeable = False
+        return gram
 
     @property
     def n(self) -> int:
@@ -722,8 +740,9 @@ def sample(cov: CovarianceR, n: int, seed: int, class_tag=None,
     factorisation with negative eigenvalues clipped at zero, so semidefinite
     boundary cases (perfectly correlated planes) sample cleanly at any
     scale. The standard normal draws are made in one call and multiplied by
-    the factor in place, a block of rows at a time. A non-finite or
-    indefinite (see PSD_FLOOR) covariance raises ValueError.
+    the factor in place, a block of rows at a time; the SampleSet takes that
+    array, made read-only, without a copy. A non-finite or indefinite (see
+    PSD_FLOOR) covariance raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least one draw")
@@ -735,6 +754,7 @@ def sample(cov: CovarianceR, n: int, seed: int, class_tag=None,
     z = np.random.default_rng(seed).standard_normal((n, 4))
     for span in qarray.row_blocks(n):
         z[span] = z[span] @ factor.T
+    z.flags.writeable = False
     return SampleSet(z, seed=seed, basis=cov.basis, class_tag=class_tag,
                      params=params)
 

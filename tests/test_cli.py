@@ -1,6 +1,9 @@
 import argparse
+import contextlib
+import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -379,6 +382,56 @@ def test_console_entry_point_exits_with_the_usage_error_code():
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage error: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_classify_onto_a_full_stdout_is_one_data_error_line(tmp_path):
+    path = tmp_path / "draws.csv"
+    run_cli(*gen_args(path, n="300"))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quatprop.cli", "classify", str(path)],
+            stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error: cannot write <stdout>: ")
+    assert "No space left on device" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+def test_classify_onto_a_closed_stdout_is_a_data_error(tmp_path, capsys,
+                                                       monkeypatch):
+    path = tmp_path / "draws.csv"
+    run_cli(*gen_args(path, n="300"))
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", None)  # what Python sets for >&-
+    assert run_cli("classify", str(path)) == 2
+    assert capsys.readouterr().err == (
+        "data error: cannot write <stdout>: [Errno 9] stdout is closed\n")
+
+
+def test_classify_writes_its_report_once_and_flushes(tmp_path, capsys):
+    path = tmp_path / "draws.csv"
+    run_cli(*gen_args(path, n="300"))
+
+    class Recorder(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.calls = []
+
+        def write(self, text):
+            self.calls.append("write")
+            return super().write(text)
+
+        def flush(self):
+            self.calls.append("flush")
+
+    out = Recorder()
+    with contextlib.redirect_stdout(out):
+        assert run_cli("classify", str(path)) == 0
+    assert out.calls == ["write", "flush"]
+    report = cli.estimation.classify(read_sample_csv(path), STANDARD_BASIS)
+    assert out.getvalue() == json.dumps(report.to_dict(), indent=2,
+                                        sort_keys=True) + "\n"
 
 
 # --- class-parameter flags against the hand-written reference rule ---------

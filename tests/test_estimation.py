@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -161,7 +162,7 @@ def test_second_moment_estimates_match_per_sample_definition(seed, center):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("estimator", [complementary_covariances, covariance_faces])
 def test_estimators_reject_overflowing_samples(estimator):
-    data = sample(covariance_from_params(HProperParams(1.0)).r, 200, seed=3).data
+    data = sample(covariance_from_params(HProperParams(1.0)).r, 200, seed=3).data.copy()
     data[17, 2] = 1e200
     with pytest.raises(ValueError, match="second moments are not finite"):
         estimator(data, STANDARD_BASIS)
@@ -174,6 +175,77 @@ def test_complementary_covariances_reject_an_overflowing_trace():
     assert np.isfinite(data.T @ data).all()
     with pytest.raises(ValueError, match="second moments are not finite"):
         complementary_covariances(data, STANDARD_BASIS)
+
+
+def _estimates_bits(samples, basis, center):
+    """The bytes of every output of the three estimators on samples."""
+    report = classify(samples, basis, center=center)
+    gh, gc, gr = covariance_faces(samples, basis, center=center)
+    cc = complementary_covariances(samples, basis, center=center)
+    return (repr(report.to_dict()), _row_bits(report.complementary),
+            gh.matrix.tobytes(), gc.matrix.tobytes(), gr.matrix.tobytes(),
+            _row_bits(cc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(sorted(all_class_params())), st.booleans(),
+       st.sampled_from([100, 3000, 8193, 20_000]))
+def test_estimators_give_the_same_bits_for_a_sample_set_and_its_rows(
+        seed, tag, center, n):
+    rng = np.random.default_rng(seed)
+    basis = STANDARD_BASIS if seed % 4 == 0 else rand_basis(rng)
+    params = all_class_params(basis)[tag]
+    draws = sample(covariance_from_params(params).r, n, seed)
+    assert (_estimates_bits(draws, basis, center)
+            == _estimates_bits(draws.data, basis, center))
+
+
+def test_one_sample_set_forms_its_second_moment_once(monkeypatch):
+    formed = []
+    form = SampleSet._gram.func
+
+    def counted(self):
+        formed.append(self)
+        return form(self)
+
+    gram = functools.cached_property(counted)
+    gram.__set_name__(SampleSet, "_gram")
+    monkeypatch.setattr(SampleSet, "_gram", gram)
+    draws = sample(covariance_from_params(general_params()).r, 2000, seed=4)
+    classify(draws, STANDARD_BASIS)
+    faces = covariance_faces(draws, STANDARD_BASIS)
+    complementary_covariances(draws, STANDARD_BASIS)
+    assert formed == [draws]
+    # the estimators read the kept product, not one of their own
+    vars(draws)["_gram"] = 2.0 * vars(draws)["_gram"]
+    doubled = covariance_faces(draws, STANDARD_BASIS)[2].matrix
+    assert np.array_equal(doubled, 2.0 * faces[2].matrix)
+    # a centred estimate does not read it
+    centred = covariance_faces(draws, STANDARD_BASIS, center=True)[2].matrix
+    assert centred.tobytes() == covariance_faces(
+        draws.data, STANDARD_BASIS, center=True)[2].matrix.tobytes()
+
+
+@pytest.mark.parametrize("n", [100, 8192, 8193])
+def test_centred_moment_of_one_row_block_is_the_one_shot_product(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 4)) @ rng.normal(size=(4, 4)) + rng.normal(size=4)
+    x[:, 3] = -0.0  # a constant column: an exactly zero row and column of S
+    xc = x - x.mean(axis=0)
+    want = (xc.T @ xc) / n
+    got = covariance_faces(x, STANDARD_BASIS, center=True)[2].matrix
+    assert got.tobytes() == want.tobytes()
+
+
+def test_centred_moment_over_row_blocks_matches_the_one_shot_product():
+    rng = np.random.default_rng(12)
+    n = 3 * 8192 + 5
+    x = rng.normal(size=(n, 4)) @ rng.normal(size=(4, 4)) + 100.0
+    xc = x - x.mean(axis=0)
+    want = (xc.T @ xc) / n
+    got = covariance_faces(x, STANDARD_BASIS, center=True)[2].matrix
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def _row_bits(cc):

@@ -476,6 +476,34 @@ def test_sample_rejects_indefinite():
         sample(CovarianceR(np.diag([1.0, 1.0, 1.0, -0.5])), 10, seed=0)
 
 
+def test_sample_rows_are_read_only_and_not_copied():
+    draws = sample(CovarianceR(np.eye(4) / 4), 10, seed=1)
+    assert not draws.data.flags.writeable and draws.data.base is None
+    with pytest.raises(ValueError, match="read-only"):
+        draws.data[0, 0] = 1.0
+    # read-only rows that own their memory are kept as they are
+    assert SampleSet(draws.data, seed=1).data is draws.data
+    assert dataclasses.replace(draws, class_tag="x").data is draws.data
+
+
+def test_sample_set_copies_rows_the_caller_can_write():
+    x = np.arange(40.0).reshape(10, 4)
+    kept = x.copy()
+    draws = SampleSet(x, seed=0)
+    assert not draws.data.flags.writeable
+    assert not np.shares_memory(draws.data, x)
+    assert np.array_equal(draws.data, kept)
+    assert x.flags.writeable
+    x[0, 0] = -1.0  # the caller's array is still theirs to write
+    assert draws.data[0, 0] == 0.0
+    # a read-only view of a writeable array is copied too
+    view = x[2:]
+    view.flags.writeable = False
+    assert not np.shares_memory(SampleSet(view, seed=0).data, x)
+    with pytest.raises(ValueError, match="read-only"):
+        SampleSet(np.ones((3, 4)), seed=0).data[0, 0] = 2.0
+
+
 # --- densities ---------------------------------------------------------------
 
 def test_gaussian_pdf_closed_form_at_origin():

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +164,15 @@ def _out_file(text):
     return Path(text)
 
 
+def _note(line):
+    """Write one line to stderr, the one writer there. A closed or full
+    stderr drops it, never moving it to stdout: the exit code tells."""
+    with suppress(OSError):
+        if sys.stderr is not None:  # the process started with stderr closed
+            sys.stderr.write(line + "\n")
+            sys.stderr.flush()
+
+
 @contextmanager
 def _writing(path, directory):
     """Make directory and its missing parents, then write path in the block.
@@ -212,7 +221,7 @@ def cmd_generate(args) -> int:
                    params=recorded)
     with _writing(out, out.parent):
         draws.save(out, sidecar)
-    print(f"wrote {draws.n} draws to {out}", file=sys.stderr)
+    _note(f"wrote {draws.n} draws to {out}")
     return 0
 
 
@@ -255,7 +264,7 @@ def cmd_project(args) -> int:
     with _writing(out_dir, out_dir):
         write_column_csvs(data, outputs)
     for path, _, _ in outputs:
-        print(f"wrote {path}", file=sys.stderr)
+        _note(f"wrote {path}")
     return 0
 
 
@@ -272,7 +281,7 @@ def cmd_rotate(args) -> int:
         rotated = double_rotation(u, v).apply_rows(data)
     with _writing(out, out.parent):
         write_sample_csv(out, rotated)
-    print(f"wrote {rotated.shape[0]} rotated draws to {out}", file=sys.stderr)
+    _note(f"wrote {rotated.shape[0]} rotated draws to {out}")
     return 0
 
 
@@ -337,16 +346,15 @@ def main(argv=None) -> int:
         # cmd_* (a test's stub, a tracer's wrapper) is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        line, code = f"usage error: {exc}", 1
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        line, code = f"data error: {exc}", 2
     except MemoryError as exc:
         # numpy names the allocation; the interpreter's own MemoryError is bare
         reason = f": {exc}" if str(exc) else ""
-        print(f"data error: out of memory{reason}", file=sys.stderr)
-        return 2
+        line, code = f"data error: out of memory{reason}", 2
+    _note(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -137,7 +137,7 @@ def symmetry_residual(cov: CovarianceR, u: Quaternion, v: Quaternion) -> float:
     """The defect of the covariance S under the rotation (u, v), scored as
     classify scores a candidate: max |M S M^T - S| / tr S.
 
-    A face that _real_face refuses, or whose trace is not positive and
+    A face that convert refuses, or whose trace is not positive and
     finite, raises ValueError.
     """
     g = convert(cov, "real").matrix

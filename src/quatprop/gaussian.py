@@ -239,33 +239,127 @@ ClassParams = (MuSameParams, MuMuParams, MuOneParams, OneMuParams,
 # covariance faces
 
 
-@dataclass(frozen=True)
-class CovarianceR:
-    """Real-face covariance: 4x4 symmetric matrix over components (a,b,c,d)."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a itself when it is read-only and owns its memory, otherwise (a
+    writeable array, or any view) a read-only copy, leaving a as it was:
+    how SampleSet rows and face matrices are kept, so what is derived from
+    them holds for good."""
+    if a.flags.writeable or a.base is not None:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class _Face:
+    """A face is a read-only value: its matrix is kept by _read_only, and
+    its checked S and S's eigen-factors are formed on first need and kept.
+    A read that raises keeps nothing, so a bad face raises on every read."""
 
     matrix: np.ndarray
     basis: QuaternionBasis = STANDARD_BASIS
 
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _read_only(np.asarray(self.matrix)))
 
-@dataclass(frozen=True)
-class CovarianceC:
+    @cached_property
+    def _s(self) -> np.ndarray:
+        """The symmetric, read-only real face S: the one check of a face. A
+        wrong shape, a real or quaternion face of complex dtype, a complex
+        face of non-numbers, a non-finite entry, an S that overflows, and a
+        face off the real 4x4 matrices or an S off the symmetric ones by
+        more than 1e-9 of its scale raise ValueError."""
+        face, shape = _FACES[type(self)]
+        what = f"{face}-face covariance entries"
+        if face == "complex":
+            try:
+                m = self.matrix.astype(complex, copy=False)
+            except (TypeError, ValueError):
+                raise ValueError(f"{what} must be complex numbers, got dtype "
+                                 f"{self.matrix.dtype}") from None
+        else:
+            m = qarray._real(self.matrix, what)
+        if m.shape != shape:
+            raise ValueError(f"matrix is not a valid {face}-face covariance "
+                             f"(shape {m.shape}, expected {shape})")
+        m = np.ascontiguousarray(m)  # the maps' bits follow m's layout
+        if not np.isfinite(m).all():
+            raise ValueError(f"matrix is not a valid {face}-face covariance "
+                             "(non-finite entry)")
+        # the maps may overflow on huge finite entries; that is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if face == "real":  # needs no maps, so none are built for its basis
+                s, residual = m, 0.0
+            elif face == "complex":
+                v, vh = _basis_maps(self.basis.frame.tobytes())[3:]
+                s = v @ m @ vh
+                s, residual = s.real, np.abs(s.imag).max()
+            else:
+                K = quaternion_face_map(self.basis)
+                s = np.einsum("rsc,rsabc->ab", m, K) / 16.0
+                residual = np.abs(m - np.einsum("ab,rsabc->rsc", s, K)).max()
+            asymmetry = np.abs(s - s.T).max()
+        # max |s| is nan or inf exactly when an entry is
+        largest = float(np.abs(s).max())
+        if not (math.isfinite(largest) and math.isfinite(residual)):
+            raise ValueError(f"matrix is not a valid {face}-face covariance "
+                             "(its real face overflows)")
+        tolerance = 1e-9 * max(largest, 1.0)
+        if residual > tolerance:
+            raise ValueError(f"matrix is not a valid {face}-face covariance "
+                             f"for this basis (residual {residual:.3e})")
+        if asymmetry > tolerance:
+            raise ValueError(f"matrix is not a valid {face}-face covariance "
+                             f"(its real face is not symmetric: {asymmetry:.3e})")
+        # S/2 + S^T/2 is (S + S^T)/2 where halving is exact, and cannot overflow
+        half = s / 2.0
+        s = half + half.T
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def _factors(self):
+        """(g, w, v, whiten, norm, log_norm), read-only: g = S = V diag(w)
+        V^T (w ascending) and, when every w is positive, gaussian_pdf's
+        whiten = V diag(w)^-1/2 and normaliser 1 / ((2 pi)^2 sqrt(prod(w))),
+        as norm while prod(w) is a finite normal number and otherwise as its
+        logarithm log_norm; the other is None (gaussian_pdf refuses it)."""
+        w, v = np.linalg.eigh(self._s)
+        whiten = norm = log_norm = None
+        if w[0] > 0.0:
+            whiten = v / np.sqrt(w)
+            whiten.flags.writeable = False
+            det = math.prod(w.tolist())  # a float product overflows without a warning
+            if np.finfo(float).tiny <= det < math.inf:
+                norm = 1.0 / (_TWO_PI_SQ * math.sqrt(det))
+            else:
+                log_norm = -math.log(_TWO_PI_SQ) - 0.5 * sum(map(math.log, w.tolist()))
+        w.flags.writeable = v.flags.writeable = False
+        return self._s, w, v, whiten, norm, log_norm
+
+
+@dataclass(frozen=True, eq=False)
+class CovarianceR(_Face):
+    """Real-face covariance: 4x4 symmetric matrix over components (a,b,c,d)."""
+
+
+@dataclass(frozen=True, eq=False)
+class CovarianceC(_Face):
     """Complex-face covariance of (z1, z1*, z2, z2*); an entry x + 1j*y
     stands for x + y*mu1."""
 
-    matrix: np.ndarray
-    basis: QuaternionBasis = STANDARD_BASIS
 
-
-@dataclass(frozen=True)
-class CovarianceH:
+@dataclass(frozen=True, eq=False)
+class CovarianceH(_Face):
     """Quaternion-face covariance of (q, q^mu1, q^mu2, q^mu3); stored as a
     (4, 4, 4) array whose last axis holds quaternion components."""
 
-    matrix: np.ndarray
-    basis: QuaternionBasis = STANDARD_BASIS
-
     def entry(self, i: int, j: int) -> Quaternion:
         return Quaternion.from_vec(self.matrix[i, j])
+
+
+_FACES = {CovarianceR: ("real", (4, 4)), CovarianceC: ("complex", (4, 4)),
+          CovarianceH: ("quaternion", (4, 4, 4))}
 
 
 def _basis_dict(basis: QuaternionBasis):
@@ -329,82 +423,11 @@ def _basis_maps(frame_bytes: bytes):
     return maps
 
 
-_FACES = {CovarianceR: ("real", (4, 4)), CovarianceC: ("complex", (4, 4)),
-          CovarianceH: ("quaternion", (4, 4, 4))}
-
-
-def _real_face(cov) -> np.ndarray:
-    """The symmetric, read-only real face S of any face: the one check of a
-    face, run once per content (see _checked_face). A wrong shape, a real or
-    quaternion face of complex dtype, a complex face of non-numbers, a
-    non-finite entry, an S that overflows, and a face off the real 4x4
-    matrices or an S off the symmetric ones by more than 1e-9 of its scale
-    raise ValueError."""
-    face, shape = _FACES.get(type(cov), (None, None))
-    if face is None:
+def _face(cov):
+    """cov, if it is a covariance face; anything else is a TypeError."""
+    if not isinstance(cov, _Face):
         raise TypeError(f"not a covariance face: {type(cov).__name__}")
-    what = f"{face}-face covariance entries"
-    if face == "complex":
-        m = np.asarray(cov.matrix)
-        try:
-            m = m.astype(complex, copy=False)
-        except (TypeError, ValueError):
-            raise ValueError(f"{what} must be complex numbers, got dtype "
-                             f"{m.dtype}") from None
-    else:
-        m = qarray._real(cov.matrix, what)
-    if m.shape != shape:
-        raise ValueError(f"matrix is not a valid {face}-face covariance "
-                         f"(shape {m.shape}, expected {shape})")
-    return _checked_face(face, m.tobytes(), cov.basis.frame.tobytes())
-
-
-# Each read of a face checks it in full and maps it to S, and a model's
-# faces are read again and again (converted to each other face, sampled,
-# evaluated), so the S of the few faces checked most recently is kept, keyed
-# by the face kind, the bytes of the matrix after _real_face's cast (in C
-# order, so its layout does not matter) and the bytes of the basis frame.
-# Exceptions are not kept: an invalid face raises on every call.
-@lru_cache(maxsize=8)
-def _checked_face(face: str, m_bytes: bytes, frame_bytes: bytes):
-    """The read-only, symmetrised real face S of the real (float64), complex
-    (complex128) or quaternion (float64) face matrix with these bytes on the
-    basis frame with these bytes, after _real_face's full check."""
-    m = np.frombuffer(m_bytes, complex if face == "complex" else float)
-    m = m.reshape((4, 4, 4) if face == "quaternion" else (4, 4))
-    if not np.isfinite(m).all():
-        raise ValueError(f"matrix is not a valid {face}-face covariance "
-                         "(non-finite entry)")
-    # the maps may overflow on huge finite entries; that is reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if face == "real":  # needs no maps, so none are built for its basis
-            s, residual = m, 0.0
-        elif face == "complex":
-            v, vh = _basis_maps(frame_bytes)[3:]
-            s = v @ m @ vh
-            s, residual = s.real, np.abs(s.imag).max()
-        else:
-            K = _basis_maps(frame_bytes)[0]
-            s = np.einsum("rsc,rsabc->ab", m, K) / 16.0
-            residual = np.abs(m - np.einsum("ab,rsabc->rsc", s, K)).max()
-        asymmetry = np.abs(s - s.T).max()
-    # max |s| is nan or inf exactly when an entry is
-    largest = float(np.abs(s).max())
-    if not (math.isfinite(largest) and math.isfinite(residual)):
-        raise ValueError(f"matrix is not a valid {face}-face covariance "
-                         "(its real face overflows)")
-    tolerance = 1e-9 * max(largest, 1.0)
-    if residual > tolerance:
-        raise ValueError(f"matrix is not a valid {face}-face covariance "
-                         f"for this basis (residual {residual:.3e})")
-    if asymmetry > tolerance:
-        raise ValueError(f"matrix is not a valid {face}-face covariance "
-                         f"(its real face is not symmetric: {asymmetry:.3e})")
-    # S/2 + S^T/2 is (S + S^T)/2 where halving is exact, and cannot overflow
-    half = s / 2.0
-    s = half + half.T
-    s.flags.writeable = False
-    return s
+    return cov
 
 
 def _complex_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceC:
@@ -421,16 +444,16 @@ def _quaternion_face(s: np.ndarray, basis: QuaternionBasis) -> CovarianceH:
 def convert(cov, to: str):
     """Change a covariance to another face ("real", "complex", "quaternion").
 
-    Every face given is checked as _real_face checks it, whatever the
-    target: a bad face raises ValueError. "real" gives a fresh copy of the
+    Every face given is checked as _Face._s checks it, whatever the
+    target: a bad face raises ValueError. "real" gives a face holding the
     symmetric S, another face asked for its own face is returned as is, and
     a quaternion face formed has each diagonal entry exactly (tr S, 0, 0, 0).
     """
     if to not in ("real", "complex", "quaternion"):
         raise ValueError(f"unknown face {to!r}")
-    s, basis = _real_face(cov), cov.basis
+    s, basis = _face(cov)._s, cov.basis
     if to == "real":
-        return CovarianceR(s.copy(), basis)  # S is the memo's, read-only
+        return CovarianceR(s, basis)
     if to == "complex":
         return cov if isinstance(cov, CovarianceC) else _complex_face(s, basis)
     return cov if isinstance(cov, CovarianceH) else _quaternion_face(s, basis)
@@ -460,40 +483,10 @@ def quaternion_face_from_gammas(sigma2: float, gamma1: Quaternion,
 # ---------------------------------------------------------------------------
 # construction from class parameters
 
-# A model's covariance is checked when it is built, and again when it is
-# sampled or its density is taken, often at single points, so the few
-# covariances used most recently are decomposed once each and kept, keyed by
-# the bytes of their checked real face S. Nothing here warns or raises for a
-# valid covariance: a singular one gets no density factors, and gaussian_pdf
-# refuses it on every call.
-@lru_cache(maxsize=8)
-def _decomposition(s_bytes: bytes):
-    """(g, w, v, whiten, norm, log_norm) of the real face S with these
-    bytes, symmetric as _real_face gives it: g = S = V diag(w) V^T (w
-    ascending) and, when every w is positive, gaussian_pdf's whiten =
-    V diag(w)^-1/2 and normaliser 1 / ((2 pi)^2 sqrt(prod(w))), as norm
-    while prod(w) is a finite normal number and otherwise as its logarithm
-    log_norm; the other is None. The arrays are read-only."""
-    g = np.frombuffer(s_bytes).reshape(4, 4)
-    w, v = np.linalg.eigh(g)
-    whiten = norm = log_norm = None
-    if w[0] > 0.0:
-        whiten = v / np.sqrt(w)
-        whiten.flags.writeable = False
-        det = math.prod(w.tolist())  # a float product overflows without a warning
-        if np.finfo(float).tiny <= det < math.inf:
-            norm = 1.0 / (_TWO_PI_SQ * math.sqrt(det))
-        else:
-            log_norm = -math.log(_TWO_PI_SQ) - 0.5 * sum(map(math.log, w.tolist()))
-    for m in (g, w, v):
-        m.flags.writeable = False
-    return g, w, v, whiten, norm, log_norm
-
-
-def _refuse_indefinite(s: np.ndarray, what: str):
-    """The decomposition of the real face s; raise ValueError
-    "<what>: min eigenvalue ..." if it is indefinite (see PSD_FLOOR)."""
-    d = _decomposition(s.tobytes())
+def _refuse_indefinite(cov, what: str):
+    """The eigen-factors of any face (_Face._factors); raise ValueError
+    "<what>: min eigenvalue ..." if its S is indefinite (see PSD_FLOOR)."""
+    d = _face(cov)._factors
     lowest, highest = d[1][0], d[1][-1]  # the extreme eigenvalues w
     if lowest < PSD_FLOOR * max(1.0, -lowest, highest):
         raise ValueError(f"{what}: min eigenvalue {lowest:.6e}")
@@ -505,27 +498,29 @@ def covariance_from_params(params) -> CovarianceFaces:
     convert of its chart, the face its parameters fix.
 
     Parameters whose real-face covariance is indefinite (see PSD_FLOOR) are
-    rejected, with the most negative eigenvalue reported.
+    rejected, with the most negative eigenvalue reported. The real face
+    keeps the factors of that check for sampling and densities.
     """
     chart = params.chart()
-    _refuse_indefinite(_real_face(chart), "parameters give an indefinite covariance")
-    return CovarianceFaces(*(convert(chart, to)
-                             for to in ("complex", "real", "quaternion")))
+    r = convert(chart, "real")
+    _refuse_indefinite(r, "parameters give an indefinite covariance")
+    return CovarianceFaces(convert(chart, "complex"), r,
+                           convert(chart, "quaternion"))
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Draws of a quaternion variable, one (a, b, c, d) row per draw, plus
     the metadata of the generator that produced them.
 
-    The rows are read-only. Rows the caller could still write (a writeable
-    array, or any view) are copied first; read-only rows that own their
-    memory, such as sample's, are kept as they are. So the second moment
-    X^T X, formed on first use, holds for the rows for good, and every
-    estimator given this SampleSet shares it.
+    The rows are read-only, kept by the faces' copy rule (_read_only), so
+    read-only rows that own their memory, such as sample's, are not copied.
+    So the second moment X^T X, formed on first use, holds for the rows for
+    good, and every estimator given this SampleSet shares it. Sample sets
+    compare by identity and hash.
     """
 
     data: np.ndarray
@@ -535,11 +530,7 @@ class SampleSet:
     params: Optional[dict] = None
 
     def __post_init__(self):
-        rows = qarray.sample_rows(self.data)
-        if rows.flags.writeable or rows.base is not None:  # a view is copied
-            rows = rows.copy()
-            rows.flags.writeable = False
-        object.__setattr__(self, "data", rows)
+        object.__setattr__(self, "data", _read_only(qarray.sample_rows(self.data)))
 
     @cached_property
     def _gram(self):
@@ -746,7 +737,7 @@ def sample(cov: CovarianceR, n: int, seed: int, class_tag=None,
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    g, w, v, *_ = _refuse_indefinite(_real_face(cov), "covariance is indefinite")
+    g, w, v, *_ = _refuse_indefinite(cov, "covariance is indefinite")
     try:
         factor = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -770,7 +761,7 @@ def gaussian_pdf(q, cov: CovarianceR):
     evaluated at a Quaternion or an (..., 4) array of component vectors.
 
     One eigendecomposition g = V diag(w) V^T serves every row, and every
-    call on the same covariance (see _decomposition): the quadratic form is
+    call on the same face (see _Face._factors): the quadratic form is
     |x V diag(w)^-1/2|^2 and the normaliser comes from prod(w), or from the
     sum of log(w) when prod(w) leaves the normal range, so a covariance of
     any scale has a density without overflow (one beyond the float range is
@@ -783,7 +774,7 @@ def gaussian_pdf(q, cov: CovarianceR):
     definite, a point with a non-finite component and an array whose last
     axis is not 4 raise ValueError.
     """
-    _, w, _, whiten, norm, log_norm = _decomposition(_real_face(cov).tobytes())
+    _, w, _, whiten, norm, log_norm = _face(cov)._factors
     if whiten is None:
         raise ValueError(f"covariance is singular: min eigenvalue {w[0]:.6e}")
     if isinstance(q, Quaternion):
@@ -805,8 +796,7 @@ def gaussian_pdf(q, cov: CovarianceR):
 
 
 def _densities(rows, whiten, norm, log_norm):
-    """The densities of a block of finite (..., 4) rows from
-    _decomposition's factors."""
+    """The densities of a block of finite (..., 4) rows from _Face._factors."""
     y = rows @ whiten
     exponent = -0.5 * np.einsum("...i,...i->...", y, y)
     if log_norm is None:

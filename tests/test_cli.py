@@ -398,6 +398,53 @@ def test_classify_onto_a_full_stdout_is_one_data_error_line(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+_NO_STDERR = ["closed", "read-only",
+              pytest.param("full", marks=pytest.mark.skipif(
+                  not os.path.exists("/dev/full"), reason="no /dev/full"))]
+
+
+def _run_without_stderr(kind, tmp_path, *argv):
+    """Run the CLI in a child process whose stderr is closed (Python sets
+    sys.stderr to None), a file opened read-only (a write fails with
+    EBADF) or /dev/full (ENOSPC)."""
+    cmd = [sys.executable, "-m", "quatprop.cli", *argv]
+    if kind == "closed":
+        return subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
+                              preexec_fn=lambda: os.close(2))
+    target = tmp_path / "stderr.txt" if kind == "read-only" else "/dev/full"
+    if kind == "read-only":
+        target.write_text("")
+    with open(target, "r" if kind == "read-only" else "w") as err:
+        return subprocess.run(cmd, stdout=subprocess.PIPE, stderr=err, text=True)
+
+
+@pytest.mark.parametrize("kind", _NO_STDERR)
+def test_commands_with_no_stderr_succeed_silently(tmp_path, kind):
+    draws, rotated = tmp_path / "draws.csv", tmp_path / "rotated.csv"
+    for argv in (["generate", "--class", "hproper", "--sigma2", "1", "--n", "5",
+                  "--out", str(draws)],
+                 ["rotate", str(draws), "--u", "0,1,0,0", "--v", "1,0,0,0",
+                  "--out", str(rotated)],
+                 ["project", str(draws), "--pairs", "j",
+                  "--out-dir", str(tmp_path / "planes")]):
+        proc = _run_without_stderr(kind, tmp_path, *argv)
+        assert (proc.returncode, proc.stdout) == (0, ""), argv[0]
+    assert read_sample_csv(draws).shape == (5, 4)
+    assert json.loads((tmp_path / "draws.json").read_text())["n"] == 5
+    assert read_sample_csv(rotated).shape == (5, 4)
+    assert sorted(p.name for p in (tmp_path / "planes").iterdir()) == \
+        ["draws_1j.csv", "draws_ik.csv"]
+
+
+@pytest.mark.parametrize("kind", _NO_STDERR)
+def test_errors_with_no_stderr_keep_their_exit_codes(tmp_path, kind):
+    proc = _run_without_stderr(kind, tmp_path, "classify",
+                               str(tmp_path / "missing.csv"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    proc = _run_without_stderr(kind, tmp_path, "classify")
+    assert (proc.returncode, proc.stdout) == (1, "")
+
+
 def test_classify_onto_a_closed_stdout_is_a_data_error(tmp_path, capsys,
                                                        monkeypatch):
     path = tmp_path / "draws.csv"

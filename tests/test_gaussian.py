@@ -981,7 +981,7 @@ def test_face_map_is_c_contiguous():
         assert quaternion_face_map(basis).flags.c_contiguous
 
 
-# --- the decomposition of a covariance, kept per covariance ------------------
+# --- the decomposition of a covariance, kept on its face ---------------------
 
 def _same_decomposition(a, b):
     return all(_same_bits(x, y) if isinstance(x, np.ndarray) else x == y
@@ -989,48 +989,23 @@ def _same_decomposition(a, b):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_memoised_density_equals_fresh_build(seed):
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["real", "complex", "quaternion"]))
+def test_memoised_density_equals_fresh_build(seed, face):
     rng = np.random.default_rng(seed)
-    cov = _random_cov_r(rng)
+    basis = rand_basis(rng)
+    cov = convert(_random_cov_r(rng, basis), face)
+    g = convert(cov, "real").matrix
     q = rand_quaternion(rng)
     rows = rng.normal(size=(7, 4))
-    gaussian._decomposition.cache_clear()
-    for _ in range(2):  # built, then from the memo
-        assert gaussian_pdf(q, cov) == gaussian_pdf_reference(q.to_vec(), cov.matrix)
+    for _ in range(2):  # decomposed, then from the face
+        assert gaussian_pdf(q, cov) == gaussian_pdf_reference(q.to_vec(), g)
         assert gaussian_pdf(rows, cov).tobytes() == \
-            gaussian_pdf_reference(rows, cov.matrix).tobytes()
-    # the decomposition kept is the one a fresh build gives
-    key = cov.matrix.tobytes()
-    assert _same_decomposition(gaussian._decomposition(key),
-                               gaussian._decomposition.__wrapped__(key))
-
-
-def test_density_memo_stays_bounded():
-    rng = np.random.default_rng(22)
-    covs = [_random_cov_r(rng) for _ in range(20)]
-    first = gaussian._decomposition(covs[0].matrix.tobytes())
-    for cov in covs:
-        gaussian_pdf(ONE, cov)
-    info = gaussian._decomposition.cache_info()
-    assert info.maxsize == 8 and info.currsize <= 8
-    # the first covariance was evicted, so it is decomposed again
-    again = gaussian._decomposition(covs[0].matrix.tobytes())
-    assert again[3] is not first[3]
-    assert _same_decomposition(again, first)
-    for m in again[:4]:  # g, w, v and whiten
-        assert not m.flags.writeable
-
-
-def test_density_honours_in_place_edit_of_the_covariance():
-    rng = np.random.default_rng(23)
-    m = _random_cov_r(rng).matrix.copy()
-    cov, x = CovarianceR(m), rng.normal(size=(5, 4))
-    before = gaussian_pdf(x, cov)
-    m *= 2.0
-    after = gaussian_pdf(x, cov)
-    assert after.tobytes() == gaussian_pdf_reference(x, m).tobytes()
-    assert not np.array_equal(after, before)
+            gaussian_pdf_reference(rows, g).tobytes()
+    # the factors are kept on the face, and are those of a fresh face
+    kept = cov._factors
+    assert cov._factors is kept
+    fresh = type(cov)(cov.matrix.copy(), basis)
+    assert _same_decomposition(kept, fresh._factors)
 
 
 def test_singular_covariance_is_refused_on_every_call():
@@ -1040,19 +1015,23 @@ def test_singular_covariance_is_refused_on_every_call():
             gaussian_pdf(ONE, cov)
 
 
-def test_indefinite_covariance_is_refused_on_every_call():
+def test_indefinite_covariance_is_refused_on_every_call(monkeypatch):
     g = np.diag([1.0, 1.0, 1.0, -0.5])
     for _ in range(3):
         with pytest.raises(ValueError, match="^covariance is indefinite: min "
                                              "eigenvalue -5.000000e-01$"):
             sample(CovarianceR(g), 10, seed=0)
-    # a model's covariance, checked when built, is not decomposed again to
-    # be sampled
+    # a model's covariance is decomposed once, when it is built and checked:
+    # its real face keeps the factors that sampling and densities read
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
     faces = covariance_from_params(
         all_class_params(rand_basis(np.random.default_rng(24)))["musame"])
-    misses = gaussian._decomposition.cache_info().misses
     sample(faces.r, 10, seed=0)
-    assert gaussian._decomposition.cache_info().misses == misses
+    for q in (ONE, I, J, K):
+        gaussian_pdf(q, faces.r)
+    assert len(calls) == 1
+    assert faces.r._factors[0] is faces.r._s
 
 
 # --- one rule forms every face: convert ------------------------------------
@@ -1124,17 +1103,10 @@ def test_converted_quaternion_face_diagonal_is_trace_exactly(seed):
         assert _same_bits(np.array([g.to_vec() for g in gammas]), row)
 
 
-# --- the check of a complex or quaternion face, kept per content -------------
+# --- faces are read-only values that keep their checked S -------------------
 
-_FACE_TYPES = {"complex": CovarianceC, "quaternion": CovarianceH}
-
-
-def _unmemoised_real_face(cov):
-    """The full check of a complex or quaternion face, run afresh."""
-    face = "complex" if isinstance(cov, CovarianceC) else "quaternion"
-    m = np.asarray(cov.matrix, dtype=complex if face == "complex" else float)
-    return gaussian._checked_face.__wrapped__(face, m.tobytes(),
-                                              cov.basis.frame.tobytes())
+_FACE_TYPES = {"real": CovarianceR, "complex": CovarianceC,
+               "quaternion": CovarianceH}
 
 
 def _edit_off_the_image(m, by=0.25):
@@ -1143,64 +1115,82 @@ def _edit_off_the_image(m, by=0.25):
     m[(0, 1) + (0,) * (m.ndim - 2)] += by
 
 
-# Each test of this memo also fails for a memo keyed by the matrix object
-# rather than its bytes, or for one that lets a face past the check.
-
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["complex", "quaternion"]))
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(_FACE_TYPES)))
 def test_memoised_face_check_equals_fresh_check(seed, face):
     rng = np.random.default_rng(seed)
     basis = rand_basis(rng)
-    m = convert(_random_cov_r(rng, basis), face).matrix.copy()
-    cov = _FACE_TYPES[face](m, basis)
-    gaussian._checked_face.cache_clear()
-    for _ in range(2):  # checked, then from the memo
-        assert _same_bits(gaussian._real_face(cov), _unmemoised_real_face(cov))
-    # a face of equal bytes is a hit, whatever object holds it
-    hits = gaussian._checked_face.cache_info().hits
-    twin = type(cov)(m.copy(), basis)
-    assert _same_bits(gaussian._real_face(twin), _unmemoised_real_face(cov))
-    assert gaussian._checked_face.cache_info().hits == hits + 1
-    # the same object edited in place is read anew: on the real image it
-    # gives the new S, off it it is refused
-    m *= 2.0
-    assert _same_bits(convert(cov, "real").matrix, _unmemoised_real_face(cov))
-    _edit_off_the_image(m)
-    with pytest.raises(ValueError, match="for this basis"):
-        gaussian._real_face(cov)
+    cov = convert(_random_cov_r(rng, basis), face)
+    s = cov._s
+    assert cov._s is s  # checked once, then kept
+    assert not s.flags.writeable
+    # a fresh face of the same matrix is checked afresh, to the same bits
+    fresh = type(cov)(cov.matrix.copy(), basis)
+    assert fresh._s is not s
+    assert _same_bits(fresh._s, s)
+    assert _same_bits(convert(cov, "real").matrix, s)
 
 
-def test_face_memo_stays_bounded():
-    rng = np.random.default_rng(26)
-    covs = [convert(_random_cov_r(rng), "quaternion") for _ in range(20)]
-    first = gaussian._real_face(covs[0])
-    for cov in covs:
-        assert gaussian._real_face(cov) is gaussian._real_face(cov)
-        assert not gaussian._real_face(cov).flags.writeable
-    info = gaussian._checked_face.cache_info()
-    assert info.maxsize == 8 and info.currsize <= 8
-    # the first face was evicted, so it is checked again
-    again = gaussian._real_face(covs[0])
-    assert again is not first and _same_bits(again, first)
+@pytest.mark.parametrize("face", list(_FACE_TYPES))
+def test_face_matrix_is_read_only(face):
+    params = all_class_params(rand_basis(np.random.default_rng(28)))["musame"]
+    faces = covariance_from_params(params)
+    cov = {"real": faces.r, "complex": faces.c, "quaternion": faces.h}[face]
+    built = _FACE_TYPES[face](cov.matrix.copy(), params.basis)
+    kept = [cov.matrix, built.matrix, convert(cov, "real").matrix,
+            cov._s, *cov._factors[:4]]
+    for m in kept:  # the matrices, S, and g, w, v and whiten of S
+        with pytest.raises(ValueError, match="read-only"):
+            m[(0,) * m.ndim] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        again[0, 0] = 1.0
-    # a face edited in place is not answered from the entry of its old bytes
-    _edit_off_the_image(covs[-1].matrix)
-    with pytest.raises(ValueError, match="for this basis"):
-        gaussian._real_face(covs[-1])
+        cov.matrix[...] *= 2.0
+    # the public real faces share the one kept S
+    assert convert(cov, "real").matrix is cov._s
+    assert covariance_from_params(params).r.matrix is not faces.r.matrix
+
+
+@pytest.mark.parametrize("face", list(_FACE_TYPES))
+def test_face_copies_a_matrix_the_caller_can_write(face):
+    rng = np.random.default_rng(23)
+    basis = rand_basis(rng)
+    m = convert(_random_cov_r(rng, basis), face).matrix.copy()
+    kept = m.copy()
+    cov = _FACE_TYPES[face](m, basis)
+    assert not cov.matrix.flags.writeable
+    assert not np.shares_memory(cov.matrix, m)
+    x = rng.normal(size=(5, 4))
+    before = gaussian_pdf(x, cov)
+    m *= 2.0  # the caller's array is still theirs to write
+    assert m.flags.writeable
+    assert cov.matrix.tobytes() == kept.tobytes()
+    assert gaussian_pdf(x, cov).tobytes() == before.tobytes()
+    assert gaussian_pdf(x, _FACE_TYPES[face](kept, basis)).tobytes() == \
+        before.tobytes()
+    # a read-only view of a writeable array is copied too
+    stack = np.stack([kept, kept])
+    view = stack[1]
+    view.flags.writeable = False
+    assert not np.shares_memory(_FACE_TYPES[face](view, basis).matrix, stack)
+    # a read-only array that owns its memory is kept as it is
+    own = kept.copy()
+    own.flags.writeable = False
+    assert _FACE_TYPES[face](own, basis).matrix is own
 
 
 @pytest.mark.parametrize("face", ["complex", "quaternion"])
 def test_face_edited_off_the_real_image_is_refused_on_the_next_read(face):
-    m = convert(_random_cov_r(np.random.default_rng(27)), face).matrix.copy()
-    cov = _FACE_TYPES[face](m)
+    cov = convert(_random_cov_r(np.random.default_rng(27)), face)
     before = convert(cov, "real").matrix
+    with pytest.raises(ValueError, match="read-only"):
+        _edit_off_the_image(cov.matrix)  # the face itself cannot be edited
+    # an edited copy is another face, refused on every read
+    m = cov.matrix.copy()
     _edit_off_the_image(m)
-    for to in ("real", "complex", "quaternion"):
+    edited = dataclasses.replace(cov, matrix=m)
+    for to in ("real", "complex", "quaternion", "real"):
         with pytest.raises(ValueError, match=f"not a valid {face}-face "
                                              "covariance for this basis"):
-            convert(cov, to)
-    _edit_off_the_image(m, -0.25)
+            convert(edited, to)
     assert _same_bits(convert(cov, "real").matrix, before)
 
 
@@ -1208,41 +1198,29 @@ def test_face_edited_off_the_real_image_is_refused_on_the_next_read(face):
                                          ("complex", complex(np.nan)),
                                          ("quaternion", 0.5)])
 def test_bad_face_raises_on_every_call_and_is_not_kept(face, entry):
-    # a valid face, read once, then given a bad entry in place
     m = convert(CovarianceR(np.eye(4)), face).matrix.copy()
-    cov = _FACE_TYPES[face](m)
-    gaussian._checked_face.cache_clear()
-    gaussian._real_face(cov)
     m[(0, 1) + (0,) * (m.ndim - 2)] = entry
-    for _ in range(2):
+    cov = _FACE_TYPES[face](m)
+    assert not cov.matrix.flags.writeable  # it stays bad
+    for read in (lambda: gaussian_pdf(ONE, cov), lambda: convert(cov, "real"),
+                 lambda: sample(cov, 3, seed=0)) * 2:
         with pytest.raises(ValueError, match=f"not a valid {face}-face"):
-            gaussian_pdf(ONE, cov)
-    info = gaussian._checked_face.cache_info()
-    assert info.currsize == 1 and info.misses == 3
+            read()
+    assert "_s" not in vars(cov) and "_factors" not in vars(cov)
 
 
-def test_public_real_faces_are_fresh_and_writable():
-    params = all_class_params(rand_basis(np.random.default_rng(28)))["musame"]
-    faces = covariance_from_params(params)
-    c, h = (CovarianceC(faces.c.matrix.copy(), params.basis),
-            CovarianceH(faces.h.matrix.copy(), params.basis))
-    for read in (lambda: convert(h, "real").matrix,
-                 lambda: convert(c, "real").matrix,
-                 lambda: covariance_from_params(params).r.matrix):
-        first = read()
-        want = first.copy()
-        assert first.flags.writeable
-        first[:] = 0.0
-        assert _same_bits(read(), want)
-        assert read() is not read()
-    # what is handed out follows the face's bytes: doubled, then refused
-    for face in (c, h):
-        want = convert(face, "real").matrix * 2.0
-        face.matrix[...] *= 2.0
-        assert _same_bits(convert(face, "real").matrix, want)
-        _edit_off_the_image(face.matrix)
-        with pytest.raises(ValueError, match="for this basis"):
-            convert(face, "real")
+def test_faces_and_sample_sets_compare_by_identity():
+    draws = SampleSet(np.ones((3, 4)), seed=0)
+    twin = SampleSet(np.ones((3, 4)), seed=0)
+    assert draws == draws and draws != twin
+    assert len({draws, twin, draws}) == 2
+    faces = covariance_from_params(HProperParams(1.0))
+    again = covariance_from_params(HProperParams(1.0))
+    assert faces == faces and faces != again
+    for face, other in zip(faces, again):
+        assert face == face and face != other
+        assert len({face, other, face}) == 2
+    assert hash(CovarianceR(np.eye(4))) is not None
 
 
 def test_object_complex_face_reads_as_its_complex128_copy():
